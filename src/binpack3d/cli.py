@@ -75,8 +75,6 @@ def _add_solver_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--deterministic", action="store_true",
                      help="replace wall-clock limits with a fixed step budget")
     sub.add_argument("--restarts", type=int, default=4)
-    sub.add_argument("--threads", type=int, default=1,
-                     help="reserved; the solver currently runs single-process")
 
 
 def build_parser() -> _Parser:

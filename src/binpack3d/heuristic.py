@@ -345,7 +345,6 @@ class _Budget:
 
     def elapsed(self) -> float:
         if self.deterministic:
-            from .solvers import DETERMINISTIC_STEPS_PER_SECOND
             return self.steps / DETERMINISTIC_STEPS_PER_SECOND
         return time.monotonic() - self.start
 

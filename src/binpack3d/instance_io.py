@@ -30,6 +30,7 @@ ship with the package and are addressed as ``bundled:1`` .. ``bundled:15``.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
 from .geometry import BinSpec, CaseSpec, Instance, Packing, Placement, check_packing
@@ -53,7 +54,18 @@ def _number(obj: dict, key: str, where: str) -> float:
     val = _require(obj, key, where)
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ParseError(f"{where}: field '{key}' must be a number")
-    return float(val)
+    return _finite(val, f"{where}: field '{key}'")
+
+
+def _finite(val: int | float, what: str) -> float:
+    """``val`` as a float; NaN, infinities and out-of-range integers fail."""
+    try:
+        num = float(val)
+    except OverflowError:
+        num = math.inf
+    if not math.isfinite(num):
+        raise ParseError(f"{what} must be a finite number")
+    return num
 
 
 def _integer(obj: dict, key: str, where: str) -> int:
@@ -128,7 +140,7 @@ def parse_instance(text: str | bytes) -> Instance:
     if threshold is not None:
         if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
             raise ParseError("instance: 'support_threshold' must be a number")
-        threshold = float(threshold)
+        threshold = _finite(threshold, "instance: 'support_threshold'")
 
     try:
         return Instance(name, tuple(case_specs), tuple(bin_specs), threshold)
@@ -194,6 +206,8 @@ def parse_packing(text: str | bytes, inst: Instance) -> Packing:
                 z=_number(entry, "z", where),
                 orientation=_integer(entry, "orientation", where),
             ))
+        except ParseError:
+            raise
         except ValueError as e:
             raise ParseError(f"{where}: {e}") from None
 

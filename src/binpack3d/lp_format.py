@@ -4,11 +4,23 @@ Output is byte-deterministic for a given model.  The LP dialect follows
 the common CPLEX/Gurobi grammar: a quadratic product inside a constraint
 is written as a ``[ ... ]`` block, which restricts quadratic models to LP
 output; MPS output accepts linearized models only.
+
+Both emitters read the model's flat row arrays and build the text in
+chunks of about ``_CHUNK_LINES`` lines, so the per-line strings of the
+whole text never exist at once.
 """
 
 from __future__ import annotations
 
-from .model import BINARY, Model
+from itertools import islice
+
+import numpy as np
+
+from .model import BINARY, SENSES, Model
+
+_CHUNK_LINES = 1 << 16
+
+_MPS_SENSE = {"<=": "L", ">=": "G", "=": "E"}
 
 
 class UnsupportedModeError(ValueError):
@@ -28,44 +40,106 @@ def _signed(value: float) -> str:
     return f"- {_num(-value)}" if value < 0 else f"+ {_num(value)}"
 
 
-def _wrap(parts: list[str], indent: str = "  ", per_line: int = 8) -> list[str]:
-    lines = []
+class _Formatted(dict):
+    """``fmt(value)`` for each distinct value, formatted once."""
+
+    def __init__(self, fmt) -> None:
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = self.fmt(value)
+        return text
+
+
+class _Text:
+    """Output lines, joined into a text chunk by each ``flush``.
+
+    Writers append to ``lines`` and flush about every ``_CHUNK_LINES``
+    lines.
+    """
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.chunks: list[str] = []
+
+    def flush(self) -> None:
+        lines = self.lines
+        lines.append("")  # every chunk ends with a newline
+        self.chunks.append("\n".join(lines))
+        lines.clear()
+
+    def join(self) -> str:
+        self.flush()
+        return "".join(self.chunks)
+
+
+def _wrap(out: list[str], parts: list[str], indent: str = "  ",
+          per_line: int = 8) -> None:
     for start in range(0, len(parts), per_line):
-        lines.append(indent + " ".join(parts[start:start + per_line]))
-    return lines
+        out.append(indent + " ".join(parts[start:start + per_line]))
 
 
 def emit_lp(model: Model) -> str:
     """Render the model as LP text."""
     reg = model.registry
-    out: list[str] = [f"\\ Model for instance {model.instance.name}"]
+    rows = model.constraints
+    names = reg.names
+    signed = _Formatted(_signed)
+    num = _Formatted(_num)
+    text = _Text()
+    out = text.lines
+    out.append(f"\\ Model for instance {model.instance.name}")
     out.append("Minimize")
-    obj_parts = [f"{_signed(coef)} {reg[idx].name}" for idx, coef in model.objective]
     out.append(" obj:")
-    out.extend(_wrap(obj_parts))
+    _wrap(out, [f"{signed[coef]} {names[idx]}" for idx, coef in model.objective])
     out.append("Subject To")
-    for con in model.constraints:
-        parts = [f"{_signed(coef)} {reg[idx].name}" for idx, coef in con.terms]
-        if con.qterms:
-            qparts = [f"{_signed(coef)} {reg[a].name} * {reg[b].name}"
-                      for a, b, coef in con.qterms]
-            parts.append("+ [ " + " ".join(qparts) + " ]")
-        sense = con.sense if con.sense != "=" else "="
-        out.append(f" {con.name}:")
-        out.extend(_wrap(parts))
-        out.append(f"  {sense} {_num(con.rhs)}")
+    indptr, qrows = rows.indptr, rows.qrows
+    q = 0
+    block = _CHUNK_LINES // 4  # a row takes three lines or more
+    for lo in range(0, len(rows), block):
+        hi = min(lo + block, len(rows))
+        base, end = indptr[lo], indptr[hi]
+        terms = [f"{signed[coef]} {names[idx]}"
+                 for idx, coef in zip(rows.cols[base:end], rows.coefs[base:end])]
+        for row in range(lo, hi):
+            parts = terms[indptr[row] - base:indptr[row + 1] - base]
+            qparts = []
+            while q < len(qrows) and qrows[q] == row:
+                qparts.append(f"{signed[rows.qcoefs[q]]} {names[rows.qa[q]]}"
+                              f" * {names[rows.qb[q]]}")
+                q += 1
+            if qparts:
+                parts.append("+ [ " + " ".join(qparts) + " ]")
+            out.append(f" {rows.names[row]}:")
+            if len(parts) <= 8:  # most rows: one line, without the call
+                out.append("  " + " ".join(parts))
+            else:
+                _wrap(out, parts)
+            out.append(f"  {SENSES[rows.senses[row]]} {num[rows.rhs[row]]}")
+        text.flush()
     out.append("Bounds")
     for var in reg:
         if var.kind == BINARY:
             if var.ub == 0:
                 out.append(f" {var.name} = 0")
             continue
-        out.append(f" {_num(var.lb)} <= {var.name} <= {_num(var.ub)}")
+        out.append(f" {num[var.lb]} <= {var.name} <= {num[var.ub]}")
+        if len(out) >= _CHUNK_LINES:
+            text.flush()
     out.append("Binaries")
-    binaries = [var.name for var in reg if var.kind == BINARY]
-    out.extend(_wrap(binaries, indent=" ", per_line=8))
+    _wrap(out, [var.name for var in reg if var.kind == BINARY], indent=" ")
     out.append("End")
-    return "\n".join(out) + "\n"
+    return text.join()
+
+
+def _column_entries(rows, order: np.ndarray):
+    """(row, coefficient) of each linear term, in the order ``order`` gives."""
+    row_of = rows.row_of()
+    coefs = np.frombuffer(rows.coefs)
+    for lo in range(0, len(order), _CHUNK_LINES):
+        sel = order[lo:lo + _CHUNK_LINES]
+        yield from zip(row_of[sel].tolist(), coefs[sel].tolist())
 
 
 def emit_mps(model: Model) -> str:
@@ -74,20 +148,29 @@ def emit_mps(model: Model) -> str:
         raise UnsupportedModeError(
             "MPS output requires a linearized model; quadratic rows have no MPS form")
     reg = model.registry
-    out: list[str] = [f"NAME {model.instance.name}"]
+    rows = model.constraints
+    num = _Formatted(_num)
+    text = _Text()
+    out = text.lines
+    out.append(f"NAME {model.instance.name}")
     out.append("ROWS")
     out.append(" N obj")
-    sense_tag = {"<=": "L", ">=": "G", "=": "E"}
-    for con in model.constraints:
-        out.append(f" {sense_tag[con.sense]} {con.name}")
+    tags = [f" {_MPS_SENSE[sense]} " for sense in SENSES]
+    for lo in range(0, len(rows), _CHUNK_LINES):
+        hi = lo + _CHUNK_LINES
+        out.extend([tags[sense] + name
+                    for sense, name in zip(rows.senses[lo:hi], rows.names[lo:hi])])
+        text.flush()
 
-    # Column-major entries, variables in registry order, rows in model order.
-    columns: dict[int, list[tuple[str, float]]] = {idx: [] for idx in range(len(reg))}
+    # Column-major entries, variables in registry order: a variable's
+    # objective entries first, then its rows in model order (the sort is
+    # stable and the terms are stored row by row).
+    cols = np.frombuffer(rows.cols, dtype=np.int32)
+    counts = np.bincount(cols, minlength=len(reg)).tolist()
+    entries = _column_entries(rows, np.argsort(cols, kind="stable"))
+    objective: dict[int, list[float]] = {}
     for idx, coef in model.objective:
-        columns[idx].append(("obj", coef))
-    for con in model.constraints:
-        for idx, coef in con.terms:
-            columns[idx].append((con.name, coef))
+        objective.setdefault(idx, []).append(coef)
 
     out.append("COLUMNS")
     in_integer = False
@@ -99,18 +182,26 @@ def emit_mps(model: Model) -> str:
         elif not is_int and in_integer:
             out.append("    MARKER M2 'MARKER' 'INTEND'")
             in_integer = False
-        entries = columns[idx]
-        if not entries:
-            entries = [("obj", 0.0)]
-        for row, coef in entries:
-            out.append(f"    {var.name} {row} {_num(coef)}")
+        head = f"    {var.name} "
+        obj_coefs = objective.get(idx, ())
+        for coef in obj_coefs:
+            out.append(f"{head}obj {num[coef]}")
+        for row, coef in islice(entries, counts[idx]):
+            out.append(f"{head}{rows.names[row]} {num[coef]}")
+        if not obj_coefs and not counts[idx]:
+            out.append(f"{head}obj 0")
+        if len(out) >= _CHUNK_LINES:
+            text.flush()
     if in_integer:
         out.append("    MARKER M3 'MARKER' 'INTEND'")
+    del entries
 
     out.append("RHS")
-    for con in model.constraints:
-        if con.rhs != 0:
-            out.append(f"    RHS {con.name} {_num(con.rhs)}")
+    for row, rhs in enumerate(rows.rhs):
+        if rhs != 0:
+            out.append(f"    RHS {rows.names[row]} {num[rhs]}")
+            if len(out) >= _CHUNK_LINES:
+                text.flush()
     out.append("BOUNDS")
     for var in reg:
         if var.kind == BINARY:
@@ -120,7 +211,9 @@ def emit_mps(model: Model) -> str:
                 out.append(f" BV BND {var.name}")
         else:
             if var.lb != 0:
-                out.append(f" LO BND {var.name} {_num(var.lb)}")
-            out.append(f" UP BND {var.name} {_num(var.ub)}")
+                out.append(f" LO BND {var.name} {num[var.lb]}")
+            out.append(f" UP BND {var.name} {num[var.ub]}")
+        if len(out) >= _CHUNK_LINES:
+            text.flush()
     out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    return text.join()

@@ -31,7 +31,12 @@ piecewise-McCormick overestimate partitioned along the x-overlap axis.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .geometry import (
     DEFAULT_TOL,
@@ -64,7 +69,7 @@ class SolutionImportError(ValueError):
     """A required variable is missing from a solver value map."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     name: str
     kind: str  # binary | continuous
@@ -109,13 +114,87 @@ class VariableRegistry:
         return [v.name for v in self._vars]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
+    """One row, as read from a ``RowStore``."""
+
     name: str
     sense: str  # "<=", "=", ">="
     rhs: float
     terms: list[tuple[int, float]]
     qterms: list[tuple[int, int, float]] | None = None
+
+
+SENSES = ("<=", ">=", "=")
+_SENSE_CODE = {sense: code for code, sense in enumerate(SENSES)}
+
+
+class RowStore(Sequence):
+    """Constraint rows in flat arrays, read as a sequence of ``Constraint``.
+
+    Row r has name ``names[r]``, sense ``SENSES[senses[r]]``, right-hand
+    side ``rhs[r]`` and linear terms ``cols``/``coefs`` over
+    ``indptr[r]:indptr[r + 1]`` (CSR).  Quadratic terms are kept only for
+    the rows that have them, in row order: ``qrows[t]`` owns the product
+    ``qcoefs[t] * v[qa[t]] * v[qb[t]]``.  Indexing builds a fresh
+    ``Constraint``; rows are only ever appended, through ``add``.
+    """
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.senses = bytearray()
+        self.rhs = array("d")
+        self.indptr = array("q", [0])
+        self.cols = array("i")
+        self.coefs = array("d")
+        self.qrows = array("i")
+        self.qa = array("i")
+        self.qb = array("i")
+        self.qcoefs = array("d")
+
+    def add(self, name: str, sense: str, rhs: float, terms: list[tuple[int, float]],
+            qterms: list[tuple[int, int, float]] | None = None) -> None:
+        row = len(self.names)
+        self.names.append(name)
+        self.senses.append(_SENSE_CODE[sense])
+        self.rhs.append(rhs)
+        cols, coefs = self.cols, self.coefs
+        for col, coef in terms:
+            cols.append(col)
+            coefs.append(coef)
+        self.indptr.append(len(cols))
+        for a, b, coef in qterms or ():
+            self.qrows.append(row)
+            self.qa.append(a)
+            self.qb.append(b)
+            self.qcoefs.append(coef)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, row: int) -> Constraint:
+        if row < 0:
+            row += len(self.names)
+        if not 0 <= row < len(self.names):
+            raise IndexError("row index out of range")
+        start, stop = self.indptr[row], self.indptr[row + 1]
+        qstart = bisect_left(self.qrows, row)
+        qstop = bisect_right(self.qrows, row, qstart)
+        qterms = None
+        if qstop > qstart:
+            qterms = list(zip(self.qa[qstart:qstop], self.qb[qstart:qstop],
+                              self.qcoefs[qstart:qstop]))
+        return Constraint(self.names[row], SENSES[self.senses[row]], self.rhs[row],
+                          list(zip(self.cols[start:stop], self.coefs[start:stop])),
+                          qterms)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.names)))
+
+    def row_of(self):
+        """Row index of every linear term, as a numpy array."""
+        counts = np.diff(np.frombuffer(self.indptr, dtype=np.int64))
+        return np.repeat(np.arange(len(self.names), dtype=np.int32), counts)
 
 
 @dataclass
@@ -129,7 +208,9 @@ class Model:
     mccormick_pieces: int
     registry: VariableRegistry = field(default_factory=VariableRegistry)
     objective: list[tuple[int, float]] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
+    # A read-only sequence of Constraint views; build_model appends rows
+    # through RowStore.add.
+    constraints: RowStore = field(default_factory=RowStore)
 
     @property
     def num_variables(self) -> int:
@@ -210,6 +291,8 @@ def build_model(inst: Instance, *, support: float | None = None,
         raise ValueError(f"unknown mode {mode!r}")
     if big_m not in ("paper", "tight"):
         raise ValueError(f"unknown big-M policy {big_m!r}")
+    if support is not None and not 0 <= support <= 1:
+        raise ValueError("support threshold must lie in [0, 1]")
     if mccormick_pieces < 1:
         raise ValueError("mccormick_pieces must be >= 1")
     bad = [k for k in allowed_orientations if k not in ORIENTATIONS]
@@ -277,30 +360,29 @@ def build_model(inst: Instance, *, support: float | None = None,
     for j in range(n):
         obj.append((e[j], bins[j].height))
 
-    rows = model.constraints
-    add = rows.append
+    add = model.constraints.add
 
     # --- orientation -----------------------------------------------------
     for i in range(m):
-        add(Constraint(f"orient_pick[{i}]", "=", 1.0, [(v, 1.0) for v in r[i]]))
+        add(f"orient_pick[{i}]", "=", 1.0, [(v, 1.0) for v in r[i]])
     for i, case in enumerate(cases):
         for label, var in (("xp", xp[i]), ("yp", yp[i]), ("zp", zp[i])):
             terms = [(var, 1.0)]
             for kpos, k in enumerate(ORIENTATIONS):
                 terms.append((r[i][kpos], -case.dims[_EFF_ROWS[label][k]]))
-            add(Constraint(f"eff_{label[0]}[{i}]", "=", 0.0, terms))
+            add(f"eff_{label[0]}[{i}]", "=", 0.0, terms)
 
     # --- assignment ------------------------------------------------------
     for i in range(m):
-        add(Constraint(f"assign_one[{i}]", "=", 1.0, [(v, 1.0) for v in u[i]]))
+        add(f"assign_one[{i}]", "=", 1.0, [(v, 1.0) for v in u[i]])
     for i in range(m):
         for j in range(n):
-            add(Constraint(f"assign_use[{i},{j}]", "<=", 0.0,
-                           [(u[i][j], 1.0), (e[j], -1.0)]))
+            add(f"assign_use[{i},{j}]", "<=", 0.0,
+                [(u[i][j], 1.0), (e[j], -1.0)])
     for j in range(n - 1):
         if bins[j].type_id == bins[j + 1].type_id:
-            add(Constraint(f"bin_order[{j}]", "<=", 0.0,
-                           [(e[j + 1], 1.0), (e[j], -1.0)]))
+            add(f"bin_order[{j}]", "<=", 0.0,
+                [(e[j + 1], 1.0), (e[j], -1.0)])
 
     # --- pairwise non-overlap --------------------------------------------
     # Relation q separates the pair along one axis: 0/3 along x, 1/4 along
@@ -320,15 +402,15 @@ def build_model(inst: Instance, *, support: float | None = None,
                              (b[i, i2, q], big)]
                     if mode == "quadratic":
                         qterms = [(u[i][j], u[i2][j], big)]
-                        add(Constraint(f"sep[{i},{i2},{j},{q}]", "<=", 2 * big,
-                                       terms, qterms))
+                        add(f"sep[{i},{i2},{j},{q}]", "<=", 2 * big,
+                            terms, qterms)
                     else:
                         terms.extend([(u[i][j], big), (u[i2][j], big)])
-                        add(Constraint(f"sep[{i},{i2},{j},{q}]", "<=", 3 * big, terms))
+                        add(f"sep[{i},{i2},{j},{q}]", "<=", 3 * big, terms)
     for i in range(m):
         for i2 in range(i + 1, m):
-            add(Constraint(f"sep_pick[{i},{i2}]", "=", 1.0,
-                           [(b[i, i2, q], 1.0) for q in range(6)]))
+            add(f"sep_pick[{i},{i2}]", "=", 1.0,
+                [(b[i, i2, q], 1.0) for q in range(6)])
 
     # --- bin boundaries ----------------------------------------------------
     for i in range(m):
@@ -338,19 +420,19 @@ def build_model(inst: Instance, *, support: float | None = None,
             mx = l_total - end if big_m == "tight" else l_total
             my = w_env - bj.width if big_m == "tight" else w_env
             mz = h_env - bj.height if big_m == "tight" else h_env
-            add(Constraint(f"bound_xhi[{i},{j}]", "<=", end + mx,
-                           [(x[i], 1.0), (xp[i], 1.0), (u[i][j], mx)]))
+            add(f"bound_xhi[{i},{j}]", "<=", end + mx,
+                [(x[i], 1.0), (xp[i], 1.0), (u[i][j], mx)])
             xlo_terms = [(x[i], 1.0)]
             if start != 0:
                 xlo_terms.append((u[i][j], -start))
-            add(Constraint(f"bound_xlo[{i},{j}]", ">=", 0.0, xlo_terms))
-            add(Constraint(f"bound_yhi[{i},{j}]", "<=", bj.width + my,
-                           [(y[i], 1.0), (yp[i], 1.0), (u[i][j], my)]))
-            add(Constraint(f"bound_zhi[{i},{j}]", "<=", bj.height + mz,
-                           [(z[i], 1.0), (zp[i], 1.0), (u[i][j], mz)]))
-            add(Constraint(f"top_height[{i},{j}]", "<=", h_env,
-                           [(z[i], 1.0), (zp[i], 1.0), (g[j], -1.0),
-                            (u[i][j], h_env)]))
+            add(f"bound_xlo[{i},{j}]", ">=", 0.0, xlo_terms)
+            add(f"bound_yhi[{i},{j}]", "<=", bj.width + my,
+                [(y[i], 1.0), (yp[i], 1.0), (u[i][j], my)])
+            add(f"bound_zhi[{i},{j}]", "<=", bj.height + mz,
+                [(z[i], 1.0), (zp[i], 1.0), (u[i][j], mz)])
+            add(f"top_height[{i},{j}]", "<=", h_env,
+                [(z[i], 1.0), (zp[i], 1.0), (g[j], -1.0),
+                 (u[i][j], h_env)])
 
     # --- support -----------------------------------------------------------
     if support is not None:
@@ -363,31 +445,31 @@ def build_model(inst: Instance, *, support: float | None = None,
             terms.append((sg[i], 1.0))
             for kpos, k in enumerate(ORIENTATIONS):
                 terms.append((r[i][kpos], -t * footprint_area(case, k)))
-            add(Constraint(f"sup_min[{i}]", ">=", 0.0, terms))
+            add(f"sup_min[{i}]", ">=", 0.0, terms)
 
         for i, i2 in ordered_pairs:
             fv = f[i, i2]
             # Touching along z: base of i meets top of i2 when f is set.
-            add(Constraint(f"touch_zlo[{i},{i2}]", "<=", h_env,
-                           [(z[i2], 1.0), (zp[i2], 1.0), (z[i], -1.0), (fv, h_env)]))
-            add(Constraint(f"touch_zhi[{i},{i2}]", "<=", h_env,
-                           [(z[i], 1.0), (z[i2], -1.0), (zp[i2], -1.0), (fv, h_env)]))
+            add(f"touch_zlo[{i},{i2}]", "<=", h_env,
+                [(z[i2], 1.0), (zp[i2], 1.0), (z[i], -1.0), (fv, h_env)])
+            add(f"touch_zhi[{i},{i2}]", "<=", h_env,
+                [(z[i], 1.0), (z[i2], -1.0), (zp[i2], -1.0), (fv, h_env)])
             # Touching pairs must intersect in x and y so the overlap
             # widths below stay non-negative.
-            add(Constraint(f"touch_xlo[{i},{i2}]", "<=", l_total,
-                           [(x[i2], 1.0), (x[i], -1.0), (xp[i], -1.0), (fv, l_total)]))
-            add(Constraint(f"touch_xhi[{i},{i2}]", "<=", l_total,
-                           [(x[i], 1.0), (x[i2], -1.0), (xp[i2], -1.0), (fv, l_total)]))
-            add(Constraint(f"touch_ylo[{i},{i2}]", "<=", w_env,
-                           [(y[i2], 1.0), (y[i], -1.0), (yp[i], -1.0), (fv, w_env)]))
-            add(Constraint(f"touch_yhi[{i},{i2}]", "<=", w_env,
-                           [(y[i], 1.0), (y[i2], -1.0), (yp[i2], -1.0), (fv, w_env)]))
-            add(Constraint(f"sup_cap[{i},{i2}]", "<=", 0.0,
-                           [(s[i, i2], 1.0), (fv, -pair_cap[i, i2])]))
+            add(f"touch_xlo[{i},{i2}]", "<=", l_total,
+                [(x[i2], 1.0), (x[i], -1.0), (xp[i], -1.0), (fv, l_total)])
+            add(f"touch_xhi[{i},{i2}]", "<=", l_total,
+                [(x[i], 1.0), (x[i2], -1.0), (xp[i2], -1.0), (fv, l_total)])
+            add(f"touch_ylo[{i},{i2}]", "<=", w_env,
+                [(y[i2], 1.0), (y[i], -1.0), (yp[i], -1.0), (fv, w_env)])
+            add(f"touch_yhi[{i},{i2}]", "<=", w_env,
+                [(y[i], 1.0), (y[i2], -1.0), (yp[i2], -1.0), (fv, w_env)])
+            add(f"sup_cap[{i},{i2}]", "<=", 0.0,
+                [(s[i, i2], 1.0), (fv, -pair_cap[i, i2])])
             if mode == "quadratic":
-                add(Constraint(f"sup_area[{i},{i2}]", "<=", 0.0,
-                               [(s[i, i2], 1.0)],
-                               [(ox[i, i2], oy[i, i2], -1.0)]))
+                add(f"sup_area[{i},{i2}]", "<=", 0.0,
+                    [(s[i, i2], 1.0)],
+                    [(ox[i, i2], oy[i, i2], -1.0)])
             else:
                 cap_a = pair_cap[i, i2]
                 ub_x = ov_cap[i, i2]
@@ -395,51 +477,51 @@ def build_model(inst: Instance, *, support: float | None = None,
                 pieces = mccormick_pieces
                 bps = [ub_x * p / pieces for p in range(pieces + 1)]
                 lam_terms = [(lam[i, i2, p], 1.0) for p in range(pieces)]
-                add(Constraint(f"mc_pick[{i},{i2}]", "=", 1.0, list(lam_terms)))
-                add(Constraint(f"mc_lo[{i},{i2}]", ">=", 0.0,
-                               [(ox[i, i2], 1.0)]
-                               + [(lam[i, i2, p], -bps[p]) for p in range(pieces)]))
-                add(Constraint(f"mc_hi[{i},{i2}]", "<=", 0.0,
-                               [(ox[i, i2], 1.0)]
-                               + [(lam[i, i2, p], -bps[p + 1]) for p in range(pieces)]))
+                add(f"mc_pick[{i},{i2}]", "=", 1.0, list(lam_terms))
+                add(f"mc_lo[{i},{i2}]", ">=", 0.0,
+                    [(ox[i, i2], 1.0)]
+                    + [(lam[i, i2, p], -bps[p]) for p in range(pieces)])
+                add(f"mc_hi[{i},{i2}]", "<=", 0.0,
+                    [(ox[i, i2], 1.0)]
+                    + [(lam[i, i2, p], -bps[p + 1]) for p in range(pieces)])
                 for p in range(pieces):
                     # Segment-local overestimates of the overlap product.
-                    add(Constraint(f"mc_ub1[{i},{i2},{p}]", "<=", cap_a,
-                                   [(s[i, i2], 1.0), (oy[i, i2], -bps[p + 1]),
-                                    (lam[i, i2, p], cap_a)]))
+                    add(f"mc_ub1[{i},{i2},{p}]", "<=", cap_a,
+                        [(s[i, i2], 1.0), (oy[i, i2], -bps[p + 1]),
+                         (lam[i, i2, p], cap_a)])
                     big2 = cap_a + bps[p] * ub_y
-                    add(Constraint(f"mc_ub2[{i},{i2},{p}]", "<=", cap_a,
-                                   [(s[i, i2], 1.0), (oy[i, i2], -bps[p]),
-                                    (ox[i, i2], -ub_y), (lam[i, i2, p], big2)]))
+                    add(f"mc_ub2[{i},{i2},{p}]", "<=", cap_a,
+                        [(s[i, i2], 1.0), (oy[i, i2], -bps[p]),
+                         (ox[i, i2], -ub_y), (lam[i, i2, p], big2)])
 
             # Overlap widths bounded by the actual interval overlaps when
             # the pair touches, and by both effective extents always.
-            add(Constraint(f"ovx_a[{i},{i2}]", "<=", l_total,
-                           [(ox[i, i2], 1.0), (x[i], -1.0), (xp[i], -1.0),
-                            (x[i2], 1.0), (fv, l_total)]))
-            add(Constraint(f"ovx_b[{i},{i2}]", "<=", l_total,
-                           [(ox[i, i2], 1.0), (x[i2], -1.0), (xp[i2], -1.0),
-                            (x[i], 1.0), (fv, l_total)]))
-            add(Constraint(f"ovx_c[{i},{i2}]", "<=", 0.0,
-                           [(ox[i, i2], 1.0), (xp[i], -1.0)]))
-            add(Constraint(f"ovx_d[{i},{i2}]", "<=", 0.0,
-                           [(ox[i, i2], 1.0), (xp[i2], -1.0)]))
-            add(Constraint(f"ovy_a[{i},{i2}]", "<=", w_env,
-                           [(oy[i, i2], 1.0), (y[i], -1.0), (yp[i], -1.0),
-                            (y[i2], 1.0), (fv, w_env)]))
-            add(Constraint(f"ovy_b[{i},{i2}]", "<=", w_env,
-                           [(oy[i, i2], 1.0), (y[i2], -1.0), (yp[i2], -1.0),
-                            (y[i], 1.0), (fv, w_env)]))
-            add(Constraint(f"ovy_c[{i},{i2}]", "<=", 0.0,
-                           [(oy[i, i2], 1.0), (yp[i], -1.0)]))
-            add(Constraint(f"ovy_d[{i},{i2}]", "<=", 0.0,
-                           [(oy[i, i2], 1.0), (yp[i2], -1.0)]))
+            add(f"ovx_a[{i},{i2}]", "<=", l_total,
+                [(ox[i, i2], 1.0), (x[i], -1.0), (xp[i], -1.0),
+                 (x[i2], 1.0), (fv, l_total)])
+            add(f"ovx_b[{i},{i2}]", "<=", l_total,
+                [(ox[i, i2], 1.0), (x[i2], -1.0), (xp[i2], -1.0),
+                 (x[i], 1.0), (fv, l_total)])
+            add(f"ovx_c[{i},{i2}]", "<=", 0.0,
+                [(ox[i, i2], 1.0), (xp[i], -1.0)])
+            add(f"ovx_d[{i},{i2}]", "<=", 0.0,
+                [(ox[i, i2], 1.0), (xp[i2], -1.0)])
+            add(f"ovy_a[{i},{i2}]", "<=", w_env,
+                [(oy[i, i2], 1.0), (y[i], -1.0), (yp[i], -1.0),
+                 (y[i2], 1.0), (fv, w_env)])
+            add(f"ovy_b[{i},{i2}]", "<=", w_env,
+                [(oy[i, i2], 1.0), (y[i2], -1.0), (yp[i2], -1.0),
+                 (y[i], 1.0), (fv, w_env)])
+            add(f"ovy_c[{i},{i2}]", "<=", 0.0,
+                [(oy[i, i2], 1.0), (yp[i], -1.0)])
+            add(f"ovy_d[{i},{i2}]", "<=", 0.0,
+                [(oy[i, i2], 1.0), (yp[i2], -1.0)])
 
         for i in range(m):
-            add(Constraint(f"ground_touch[{i}]", "<=", h_env,
-                           [(z[i], 1.0), (fg[i], h_env)]))
-            add(Constraint(f"ground_cap[{i}]", "<=", 0.0,
-                           [(sg[i], 1.0), (fg[i], -max_fp[i])]))
+            add(f"ground_touch[{i}]", "<=", h_env,
+                [(z[i], 1.0), (fg[i], h_env)])
+            add(f"ground_cap[{i}]", "<=", 0.0,
+                [(sg[i], 1.0), (fg[i], -max_fp[i])])
 
     type_sizes = tuple(spec.quantity for spec in inst.bin_specs)
     assert model.num_variables == expected_variable_count(
@@ -575,17 +657,25 @@ def check_assignment(model: Model, values, tol: float = DEFAULT_TOL) -> list[Row
             out.append(RowViolation(f"lb:{var.name}", var.lb - val))
         elif val > var.ub + tol:
             out.append(RowViolation(f"ub:{var.name}", val - var.ub))
-    for con in model.constraints:
-        lhs = sum(coef * vec[idx] for idx, coef in con.terms)
-        if con.qterms:
-            lhs += sum(coef * vec[a] * vec[b_] for a, b_, coef in con.qterms)
-        gap = lhs - con.rhs
-        if con.sense == "<=" and gap > tol:
-            out.append(RowViolation(con.name, gap))
-        elif con.sense == ">=" and gap < -tol:
-            out.append(RowViolation(con.name, -gap))
-        elif con.sense == "=" and abs(gap) > tol:
-            out.append(RowViolation(con.name, abs(gap)))
+    # Each row's terms are summed in stored order from 0.0 (bincount adds
+    # its weights sequentially), the quadratic part separately, then added.
+    rows = model.constraints
+    v = np.asarray(vec, dtype=np.float64)
+    cols = np.frombuffer(rows.cols, dtype=np.int32)
+    lhs = np.bincount(rows.row_of(), weights=np.frombuffer(rows.coefs) * v[cols],
+                      minlength=len(rows))
+    if rows.qrows:
+        qa = np.frombuffer(rows.qa, dtype=np.int32)
+        qb = np.frombuffer(rows.qb, dtype=np.int32)
+        lhs += np.bincount(np.frombuffer(rows.qrows, dtype=np.int32),
+                           weights=np.frombuffer(rows.qcoefs) * v[qa] * v[qb],
+                           minlength=len(rows))
+    gap = lhs - np.frombuffer(rows.rhs)
+    sense = np.frombuffer(rows.senses, dtype=np.uint8)
+    # How far each row is past its sense, in SENSES order "<=", ">=", "=".
+    excess = np.select([sense == 0, sense == 1], [gap, -gap], np.abs(gap))
+    for row in np.flatnonzero(excess > tol).tolist():
+        out.append(RowViolation(rows.names[row], excess[row].item()))
     return out
 
 

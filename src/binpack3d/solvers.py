@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .geometry import Instance, Packing
-from .metrics import BoundInconsistencyWarning, gap_vs_bound  # noqa: F401
 
 DEFAULT_NEIGHBORHOOD = {"reinsert": 0.5, "swap": 0.3, "reorient": 0.2}
 
@@ -35,8 +35,10 @@ class SolverConfig:
     exact_cap: int = 4
 
     def __post_init__(self) -> None:
-        if self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
+        if not (math.isfinite(self.time_limit) and self.time_limit > 0):
+            raise ValueError("time_limit must be a positive finite number")
+        if self.support_threshold is not None and not 0 <= self.support_threshold <= 1:
+            raise ValueError("support_threshold must be in [0, 1]")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.orientations not in (2, 6):

@@ -192,6 +192,39 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("binpack3d: error:")
 
+    @pytest.mark.parametrize("command", ["solve", "export"])
+    @pytest.mark.parametrize("case_length,bin_length", [("NaN", 5), (1, "Infinity")])
+    def test_non_finite_instance_is_a_usage_error(self, tmp_path, capsys, command,
+                                                  case_length, bin_length):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"format_version": 1, "name": "bad", "cases": [{"id": 0, "quantity": 1, '
+            f'"length": {case_length}, "width": 1, "height": 1}}], "bins": '
+            f'[{{"type_id": 0, "quantity": 1, "length": {bin_length}, "width": 5, '
+            '"height": 5}]}')
+        out = tmp_path / "out.lp"
+        code, _, err = run_cli([command, "--instance", str(path), "--out", str(out)],
+                               capsys)
+        assert code == 1
+        assert err.startswith("binpack3d: error:") and "finite number" in err
+        assert err.strip().count("\n") == 0 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--time-limit", "inf", "--deterministic"],
+        ["solve", "--time-limit", "nan"],
+        ["solve", "--support-threshold", "1.5"],
+        ["solve", "--support-threshold", "-1"],
+        ["export", "--support-threshold", "1.5"]])
+    def test_out_of_range_flags_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.lp"
+        code, _, err = run_cli([*argv, "--instance", "bundled:1", "--out", str(out)],
+                               capsys)
+        assert code == 1
+        assert err.startswith("binpack3d: error:")
+        assert err.strip().count("\n") == 0
+        assert not out.exists()
+
     def test_instances_listing(self, capsys):
         code, stdout, _ = run_cli(["instances"], capsys)
         assert code == 0

@@ -139,6 +139,19 @@ class TestCandidateAnchors:
                 assert 0 <= a.z <= inst.bins[j].height + 1e-9
 
 
+class TestConfig:
+    @pytest.mark.parametrize("kw,message", [
+        ({"time_limit": float("inf")}, "time_limit"),
+        ({"time_limit": float("nan")}, "time_limit"),
+        ({"time_limit": 0.0}, "time_limit"),
+        ({"support_threshold": 1.5}, "support_threshold"),
+        ({"support_threshold": -1.0}, "support_threshold"),
+        ({"support_threshold": float("nan")}, "support_threshold")])
+    def test_out_of_range_values_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**kw)
+
+
 class TestGap:
     def test_ten_percent_gap(self):
         assert gap_vs_bound(100.0, 90.0) == pytest.approx(0.10)

@@ -83,6 +83,21 @@ class TestParseInstance:
         inst = parse_instance(json.dumps(doc))
         assert inst.num_cases == 11
 
+    @pytest.mark.parametrize("where,value", [
+        ("case", float("nan")), ("case", float("inf")), ("bin", float("inf")),
+        ("bin", -float("inf")), ("case", 10 ** 400), ("threshold", float("nan")),
+        ("threshold", float("inf"))])
+    def test_non_finite_numbers_rejected(self, where, value):
+        doc = sample_doc()
+        if where == "case":
+            doc["cases"][0]["length"] = value
+        elif where == "bin":
+            doc["bins"][0]["length"] = value
+        else:
+            doc["support_threshold"] = value
+        with pytest.raises(ParseError, match="must be a finite number"):
+            parse_instance(json.dumps(doc))
+
     def test_instance_round_trip(self):
         inst = parse_instance(json.dumps(sample_doc(support_threshold=0.5)))
         again = parse_instance(write_instance(inst))
@@ -168,6 +183,15 @@ class TestPackingDocuments:
         text = write_packing(inst, self.make_pack(inst))
         with pytest.raises(ParseError, match="instance_name"):
             parse_packing(text, other)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coordinate_rejected(self, value):
+        inst = parse_instance(json.dumps(sample_doc()))
+        doc = json.loads(write_packing(inst, self.make_pack(inst)))
+        doc["placements"][1]["z"] = value
+        with pytest.raises(ParseError,
+                           match=r"^placements\[1\]: field 'z' must be a finite number$"):
+            parse_packing(json.dumps(doc), inst)
 
     def test_missing_placement_rejected(self):
         inst = parse_instance(json.dumps(sample_doc()))

@@ -1,9 +1,11 @@
+import hashlib
 import pathlib
 import re
 
 import pytest
 
 from binpack3d.geometry import BinSpec, CaseSpec, Instance
+from binpack3d.instance_io import load_bundled
 from binpack3d.lp_format import UnsupportedModeError, emit_lp, emit_mps
 from binpack3d.model import build_model
 
@@ -110,3 +112,44 @@ class TestMPS:
         total_terms = sum(len(c.terms) for c in model.constraints)
         total_terms += len(model.objective)
         assert len(entries) == total_terms
+
+
+# (bundled instance, support, mode) -> {format: (characters, sha256 of the text)}
+PINNED_BYTES = {
+    (1, None, "linearized"): {
+        "lp": (107940, "23fe09a23f9bca79090121d4f3b67da54dfc8bbfaffbf993512fc05a426b56d5"),
+        "mps": (221896, "c768a8d9403f5f56c477a30c84dc9d95c069e0960db98039711ce69684dc810d")},
+    (1, None, "quadratic"): {
+        "lp": (110100, "b53322961243cb328124dc4789ce9678c32095d3d820e2a2d91cbe097e05580f")},
+    (1, 0.8, "linearized"): {
+        "lp": (641322, "08fe8af44fee30352ac8c146bb50237564309bf93581c0229b681b5e76f3fef7"),
+        "mps": (1204612, "cd923360244ef39905208bbcad3ef7bdfd125b1da7fe60494870cb500e738346")},
+    (1, 0.8, "quadratic"): {
+        "lp": (387252, "1b1606cd9d69ca9e742cf2116759d53c807ba4ce688207b9d560d82295558060")},
+    (2, None, "linearized"): {
+        "lp": (527367, "a6e74a0662f1f0eba111b6240477cdd5403c596c6d02368e9b4243c2d6eabe27"),
+        "mps": (1105679, "6437a6385e4abe5bed0aeab9757ef91c7301fd976058467f5dd4985122ee999b")},
+    (2, None, "quadratic"): {
+        "lp": (538707, "fa38c72428ccb1145c52222a7f0915d039c662553b6dd2d216a20524c3b24fc2")},
+    (2, 0.8, "linearized"): {
+        "lp": (3452193, "c4412527ee6aaa40ff2a8a573310a2be0ad3bbcb80c03849402a2f62bd80d2f2"),
+        "mps": (6481543, "73f78c2ecf1b86c96b98345ae11f6264c412ce4a7367396440eca3361a3a02e7")},
+    (2, 0.8, "quadratic"): {
+        "lp": (2033663, "16df37754bf35013f4720e4d49345fb809392fe513b8a1134e063f84ba23e788")},
+}
+
+
+@pytest.mark.parametrize("number,support,mode", sorted(PINNED_BYTES, key=str))
+def test_bundled_output_bytes_pinned(number, support, mode):
+    """LP and MPS text of bench-01/02 is byte-identical to the reference.
+
+    The digests were recorded at commit 2fcb4f8, before any change to the
+    row store or the emitters: constraint rows were then one Python object
+    each and MPS columns a dict-of-lists transpose.  The flat-array rows
+    and the chunked emitters must reproduce those bytes exactly.
+    """
+    model = build_model(load_bundled(number), support=support, mode=mode)
+    for fmt, (size, digest) in PINNED_BYTES[number, support, mode].items():
+        text = emit_lp(model) if fmt == "lp" else emit_mps(model)
+        assert len(text) == size, fmt
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt

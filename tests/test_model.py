@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -13,7 +14,10 @@ from binpack3d.geometry import (
     effective_dims,
     objective_value,
 )
+from binpack3d.heuristic import solve_heuristic
+from binpack3d.instance_io import load_bundled
 from binpack3d.model import (
+    RowViolation,
     SolutionImportError,
     audit_big_m,
     build_model,
@@ -256,6 +260,67 @@ class TestAssignmentTransfer:
         assert not check_assignment(model, packing_to_assignment(model, pack))
         swapped = Packing((Placement(0, 0, 0.0, 0, 0, 1), Placement(1, 0, 3.0, 0, 0, 1)))
         assert not check_assignment(model, packing_to_assignment(model, swapped))
+
+
+def reference_violations(model, values, tol=1e-6):
+    """``check_assignment`` as a plain loop over ``model.constraints``.
+
+    Each row's terms are added in stored order from 0.0, the quadratic
+    products likewise, then the two sums are added.
+    """
+    vec = [values.get(v.name, 0.0) for v in model.registry]
+    out = []
+    for pos, var in enumerate(model.registry):
+        if vec[pos] < var.lb - tol:
+            out.append(RowViolation(f"lb:{var.name}", var.lb - vec[pos]))
+        elif vec[pos] > var.ub + tol:
+            out.append(RowViolation(f"ub:{var.name}", vec[pos] - var.ub))
+    for con in model.constraints:
+        lhs = 0.0
+        for idx, coef in con.terms:
+            lhs += coef * vec[idx]
+        if con.qterms:
+            qsum = 0.0
+            for a, b, coef in con.qterms:
+                qsum += coef * vec[a] * vec[b]
+            lhs += qsum
+        gap = lhs - con.rhs
+        if con.sense == "<=" and gap > tol:
+            out.append(RowViolation(con.name, gap))
+        elif con.sense == ">=" and gap < -tol:
+            out.append(RowViolation(con.name, -gap))
+        elif con.sense == "=" and abs(gap) > tol:
+            out.append(RowViolation(con.name, abs(gap)))
+    return out
+
+
+class TestCheckAgainstRowLoop:
+    @pytest.mark.parametrize("mode", ["linearized", "quadratic"])
+    def test_bench_one_perturbed_packings(self, mode):
+        inst = load_bundled(1)
+        base = solve_heuristic(inst, SolverConfig(
+            time_limit=5, seed=7, restarts=1, deterministic=True, neighborhood={},
+            support_threshold=0.8)).packing
+        rng = random.Random(2024)
+        packings = [base]
+        for _ in range(6):
+            moved = list(base.placements)
+            for i in rng.sample(range(len(moved)), 3):
+                p = moved[i]
+                moved[i] = dataclasses.replace(
+                    p, x=max(0.0, p.x + rng.uniform(-3.0, 3.0)),
+                    z=p.z + rng.choice((0.0, rng.uniform(0.5, 3.0))),
+                    orientation=rng.choice(ORIENTATIONS))
+            packings.append(Packing(tuple(moved)))
+        violated = 0
+        for support in (None, 0.8):
+            model = build_model(inst, support=support, mode=mode)
+            for pack in packings:
+                values = packing_to_assignment(model, pack)
+                rows = check_assignment(model, values)
+                assert rows == reference_violations(model, values)
+                violated += bool(rows)
+        assert violated >= 6
 
 
 class TestBigM:
