@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as e:
         print(f"binpack3d: error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, ArithmeticError) as e:
         print(f"binpack3d: error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

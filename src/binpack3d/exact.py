@@ -6,7 +6,8 @@ bin window.  Every bin assignment, orientation combination and grid
 position is enumerated with overlap, boundary and objective-bound pruning,
 so the result is the optimum over that grid.  This is the test oracle;
 continuous-coordinate optimality is the job of external solvers fed with
-the emitted model text.
+the emitted model text.  Overlap and support come from the scalar
+predicates in ``geometry``, which beat its vector kernel at four boxes.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from .geometry import (
     UPRIGHT_ORIENTATIONS,
     Instance,
     Packing,
+    PlacedBox,
     Placement,
     effective_dims,
-    interval_overlap,
+    ground_support,
+    penetration_depth,
+    support_area,
 )
 from .solvers import ExactResult, SolverConfig
 
@@ -100,7 +104,7 @@ def solve_exact(inst: Instance, cfg: SolverConfig | None = None) -> ExactResult:
                 continue
 
             # Per-case position grids from same-bin peers' extents.
-            grids: list[list[tuple[float, float, float]] | None] = []
+            grids: list[list[PlacedBox]] = []
             feasible_combo = True
             for i in range(m):
                 j = bin_combo[i]
@@ -116,11 +120,12 @@ def solve_exact(inst: Instance, cfg: SolverConfig | None = None) -> ExactResult:
                 if not xs or not ys or not zs:
                     feasible_combo = False
                     break
-                grids.append(sorted(product(zs, ys, xs)))
+                grids.append([PlacedBox(x, y, z, *dims[i])
+                              for z, y, x in sorted(product(zs, ys, xs))])
             if not feasible_combo:
                 continue
 
-            placed: list[tuple[float, float, float]] = []
+            placed: list[PlacedBox] = []
 
             def descend(idx: int, term1: float, tops: dict[int, float]) -> None:
                 nonlocal nodes, best_obj, best, timed_out
@@ -130,20 +135,19 @@ def solve_exact(inst: Instance, cfg: SolverConfig | None = None) -> ExactResult:
                     return
                 if idx == m:
                     obj = term1 + sum(tops.values()) + bins_h
-                    if threshold is not None and not _supported(
-                            placed, dims, bin_combo, threshold):
+                    if threshold is not None and not _stable(placed, bin_combo, threshold):
                         return
                     if best_obj is None or obj < best_obj - 1e-12:
                         best_obj = obj
                         best = [
-                            Placement(i, bin_combo[i], px, py, pz, k_combo[i])
-                            for i, (px, py, pz) in enumerate(placed)
+                            Placement(i, bin_combo[i], box.x, box.y, box.z, k_combo[i])
+                            for i, box in enumerate(placed)
                         ]
                     return
-                dxi, dyi, dzi = dims[idx]
+                dzi = dims[idx][2]
                 j = bin_combo[idx]
-                for pz, py, px in grids[idx]:
-                    top = pz + dzi
+                for box in grids[idx]:
+                    top = box.z + dzi
                     new_top = max(tops.get(j, 0.0), top)
                     lb = term1 + weights[idx] * top
                     for i2 in range(idx + 1, m):
@@ -151,9 +155,10 @@ def solve_exact(inst: Instance, cfg: SolverConfig | None = None) -> ExactResult:
                     lb += sum(tops.values()) - tops.get(j, 0.0) + new_top + bins_h
                     if best_obj is not None and lb >= best_obj - 1e-12:
                         continue
-                    if _collides(placed, dims, bin_combo, idx, px, py, pz):
+                    if any(bin_combo[i2] == j and penetration_depth(box, other) > DEFAULT_TOL
+                           for i2, other in enumerate(placed)):
                         continue
-                    placed.append((px, py, pz))
+                    placed.append(box)
                     old = tops.get(j, 0.0)
                     tops[j] = new_top
                     descend(idx + 1, term1 + weights[idx] * top, tops)
@@ -173,33 +178,13 @@ def solve_exact(inst: Instance, cfg: SolverConfig | None = None) -> ExactResult:
     return ExactResult(Packing(tuple(best)), best_obj, not timed_out, nodes)
 
 
-def _collides(placed, dims, bin_combo, idx, px, py, pz) -> bool:
-    dxi, dyi, dzi = dims[idx]
-    for i2, (qx, qy, qz) in enumerate(placed):
-        if bin_combo[i2] != bin_combo[idx]:
-            continue
-        dx2, dy2, dz2 = dims[i2]
-        if (px < qx + dx2 - DEFAULT_TOL and qx < px + dxi - DEFAULT_TOL
-                and py < qy + dy2 - DEFAULT_TOL and qy < py + dyi - DEFAULT_TOL
-                and pz < qz + dz2 - DEFAULT_TOL and qz < pz + dzi - DEFAULT_TOL):
-            return True
-    return False
-
-
-def _supported(placed, dims, bin_combo, threshold) -> bool:
-    for i, (px, py, pz) in enumerate(placed):
-        dxi, dyi, _ = dims[i]
-        if pz <= DEFAULT_TOL:
-            continue  # floor contact covers the whole footprint
-        credit = 0.0
-        for i2, (qx, qy, qz) in enumerate(placed):
-            if i2 == i or bin_combo[i2] != bin_combo[i]:
-                continue
-            dx2, dy2, dz2 = dims[i2]
-            if abs(pz - (qz + dz2)) > DEFAULT_TOL:
-                continue
-            credit += (interval_overlap(qx, dx2, px, dxi)
-                       * interval_overlap(qy, dy2, py, dyi))
-        if credit < threshold * dxi * dyi - DEFAULT_TOL:
+def _stable(placed, bin_combo, threshold) -> bool:
+    """Does every placed box get ``threshold`` of its footprint as support
+    from the floor and the same-bin boxes below it?"""
+    for i, box in enumerate(placed):
+        credit = ground_support(box) + sum(
+            support_area(other, box) for i2, other in enumerate(placed)
+            if i2 != i and bin_combo[i2] == bin_combo[i])
+        if credit < threshold * box.footprint - DEFAULT_TOL:
             return False
     return True

@@ -6,13 +6,20 @@ end of bin j, while y and z start at 0 in every bin.  A placed case is the
 half-open box [x, x+x') x [y, y+y') x [z, z+z') where (x', y', z') are its
 effective dimensions after orientation.
 
-Everything in this module is a pure function on immutable values.
+Everything in this module is a pure function on immutable values.  It is
+the one place that decides when boxes overlap, where a footprint comes to
+rest and how much support a base gets, at the one tolerance ``DEFAULT_TOL``:
+in scalar form over ``PlacedBox`` values, and as a vector kernel over
+``(k, 6)`` box arrays with rows ``[x, y, z, dx, dy, dz]`` that repeats the
+scalar arithmetic (``rest_heights`` excepted, see there).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 DEFAULT_TOL = 1e-6
 
@@ -363,3 +370,83 @@ def objective_value(inst: Instance, pack: Packing) -> float:
         if j in used:
             total += b.height
     return total
+
+
+def separating_relations(a, b, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
+    """Relations (0..5) that hold between two placed boxes.
+
+    0: a left of b, 1: a behind b, 2: a below b; 3..5 swap the roles.
+    Disjoint boxes always satisfy at least one.
+    """
+    out = []
+    pairs = ((a.x, a.dx, b.x), (a.y, a.dy, b.y), (a.z, a.dz, b.z),
+             (b.x, b.dx, a.x), (b.y, b.dy, a.y), (b.z, b.dz, a.z))
+    for q, (lo, ext, hi) in enumerate(pairs):
+        if lo + ext <= hi + tol:
+            out.append(q)
+    return tuple(out)
+
+
+# --- vector kernel -----------------------------------------------------------
+
+
+def box_array(boxes) -> np.ndarray:
+    """``(k, 6)`` array of an iterable of ``PlacedBox``."""
+    return np.array([(b.x, b.y, b.z, b.dx, b.dy, b.dz) for b in boxes],
+                    dtype=float).reshape(-1, 6)
+
+
+def _overlap(a_start, a_len, b_start, b_len):
+    """``interval_overlap`` over broadcast arrays."""
+    return np.maximum(0.0, np.minimum(np.minimum(a_start + a_len - b_start,
+                                                 b_start + b_len - a_start),
+                                      np.minimum(a_len, b_len)))
+
+
+def penetration_matrix(boxes: np.ndarray) -> np.ndarray:
+    """``penetration_depth`` of every pair of rows of a box array."""
+    lo, ext = boxes[:, None, :3], boxes[:, None, 3:]
+    return _overlap(lo, ext, boxes[None, :, :3], boxes[None, :, 3:]).min(axis=2)
+
+
+def support_pairs(boxes: np.ndarray, xs, ys, zs, a, b,
+                  tol: float = DEFAULT_TOL):
+    """The support-credit matrix, sparse: ``(base, box, area)`` for every
+    ``a x b`` base at ``(xs, ys, zs)`` that touches a box's top within
+    ``tol``, ordered by base then box, with ``area = support_area(box,
+    base)``.  ``a`` and ``b`` are scalars or arrays, one value per base."""
+    base, box = (np.abs(zs[:, None] - (boxes[:, 2] + boxes[:, 5])) <= tol).nonzero()
+    if isinstance(a, np.ndarray):
+        a, b = a[base], b[base]
+    lower = boxes[box]
+    area = (_overlap(lower[:, 0], lower[:, 3], xs[base], a)
+            * _overlap(lower[:, 1], lower[:, 4], ys[base], b))
+    return base, box, area
+
+
+def support_credit(zs, a, b, base, area, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Credit of ``a x b`` bases at heights ``zs``: the floor's
+    ``ground_support`` plus the ``area`` entries of each base, added in the
+    order given, as a loop over ``support_area`` adds them."""
+    credit = np.where(zs <= tol, np.multiply(a, b), 0.0)
+    np.add.at(credit, base, area)
+    return credit
+
+
+def rest_heights(boxes: np.ndarray, xs, ys, a, b,
+                 tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Height at which an ``a x b`` footprint with its corner at each
+    ``(xs, ys)`` comes to rest: the highest top among the boxes it overlaps
+    by more than ``tol`` along x and y, else the floor.  ``a`` and ``b`` are
+    scalars or one value per anchor.
+
+    The test is ``x < xs + a - tol and xs < x + dx - tol`` (and so in y):
+    one comparison per box and anchor, where ``interval_overlap > tol``
+    takes a subtraction and a comparison, and this loop is most of the
+    heuristic's time.  For extents over ``tol`` the two differ only when an
+    overlap lies within one rounding of ``tol``.
+    """
+    x, y, dx, dy = boxes[:, 0], boxes[:, 1], boxes[:, 3], boxes[:, 4]
+    over = ((x < (xs + a - tol)[:, None]) & (xs[:, None] < x + dx - tol)
+            & (y < (ys + b - tol)[:, None]) & (ys[:, None] < y + dy - tol))
+    return np.where(over, boxes[:, 2] + boxes[:, 5], 0.0).max(axis=1, initial=0.0)

@@ -6,7 +6,8 @@ allowed orientations.  Anchors are corner points of placed cases plus the
 bin-floor origin; the z coordinate always comes from dropping the case
 onto the highest surface below its footprint, which keeps placements
 overlap-free by construction.  A dense anchor grid is tried before giving
-up on a case.
+up on a case.  Resting heights, support credit and bounds come from the
+vector kernel in ``geometry`` at ``DEFAULT_TOL``, the validator's tolerance.
 
 Improvement applies strict-descent moves (reinsert one case, swap a pair,
 reorient in place) until the budget runs out.  In deterministic mode the
@@ -29,6 +30,9 @@ from .geometry import (
     Packing,
     Placement,
     effective_dims,
+    rest_heights,
+    support_credit,
+    support_pairs,
 )
 from .solvers import (
     DETERMINISTIC_STEPS_PER_SECOND,
@@ -37,19 +41,8 @@ from .solvers import (
     SolverConfig,
 )
 
-_EPS = 1e-9
 _ANCHOR_CHUNK = 4096
 _STALL_FACTOR = 60
-
-
-def _anchor_pairs(items: list, x0: float) -> list[tuple[float, float]]:
-    """Candidate (x, y) anchors: bin-floor origin plus placed-case corners."""
-    pairs = {(x0, 0.0)}
-    for _, px, py, _, dx, dy, _ in items:
-        pairs.add((px + dx, py))
-        pairs.add((px, py + dy))
-        pairs.add((px, py))
-    return sorted(pairs)
 
 
 class _BinState:
@@ -60,39 +53,48 @@ class _BinState:
         self.x0, self.x1 = inst.bin_window(j)
         self.width = inst.bins[j].width
         self.height = inst.bins[j].height
-        self.open_height = inst.bins[j].height
+        self.reset([])
+
+    def reset(self, items: list[tuple]) -> None:
         # rows: (case_index, x, y, z, dx, dy, dz)
-        self.items: list[tuple] = []
-        self._cache: np.ndarray | None = None
+        self.items = items
+        self._cache = self._pairs = None
 
     def arrays(self) -> np.ndarray:
+        """The items' boxes as a ``(k, 6)`` array, in item order."""
         if self._cache is None:
-            if self.items:
-                self._cache = np.array([it[1:] for it in self.items], dtype=float)
-            else:
-                self._cache = np.zeros((0, 6))
+            self._cache = np.array([it[1:] for it in self.items], dtype=float).reshape(-1, 6)
         return self._cache
+
+    def support(self):
+        """``support_pairs`` of the items' boxes resting on one another."""
+        if self._pairs is None:
+            arr = self.arrays()
+            self._pairs = support_pairs(arr, *arr[:, :5].T)
+        return self._pairs
 
     def add(self, case_index: int, x: float, y: float, z: float,
             dx: float, dy: float, dz: float) -> None:
-        self.items.append((case_index, x, y, z, dx, dy, dz))
-        self._cache = None
+        self.restore((case_index, x, y, z, dx, dy, dz))
 
     def remove(self, case_index: int) -> tuple:
         for pos, it in enumerate(self.items):
             if it[0] == case_index:
-                self._cache = None
-                return self.items.pop(pos)
+                item = self.items.pop(pos)
+                self.reset(self.items)
+                return item
         raise KeyError(case_index)
 
     def restore(self, item: tuple) -> None:
         self.items.append(item)
-        self._cache = None
+        self.reset(self.items)
 
     def top(self) -> float:
         return max((it[3] + it[6] for it in self.items), default=0.0)
 
     def anchors(self, dense: bool = False) -> np.ndarray:
+        """Candidate (x, y) anchors: the bin-floor origin plus placed-case
+        corners, or with ``dense`` every pair of corner coordinates."""
         if dense:
             xs = {self.x0}
             ys = {0.0}
@@ -101,27 +103,28 @@ class _BinState:
                 ys.update((py, py + dy))
             pairs = [(x, y) for x in sorted(xs) for y in sorted(ys)]
         else:
-            pairs = _anchor_pairs(self.items, self.x0)
+            pairs = {(self.x0, 0.0)}
+            for _, px, py, _, dx, dy, _ in self.items:
+                pairs.update(((px + dx, py), (px, py + dy), (px, py)))
+            pairs = sorted(pairs)
         return np.array(pairs, dtype=float).reshape(-1, 2)
 
 
 def candidate_anchors(inst: Instance, pack: Packing, bin_index: int) -> tuple[CandidatePoint, ...]:
     """Anchor points the constructor would consider for a bin, resolved to
-    their resting heights.  Exposed for inspection; always includes the
-    bin-floor origin."""
+    the surface under them: where a footprint just wider than the tolerance
+    would rest.  Exposed for inspection; always includes the bin-floor
+    origin."""
     state = _BinState(inst, bin_index)
     for p in pack.placements:
         if p.bin_index == bin_index:
             dx, dy, dz = effective_dims(inst.cases[p.case_index], p.orientation)
             state.add(p.case_index, p.x, p.y, p.z, dx, dy, dz)
-    out = []
-    for x, y in _anchor_pairs(state.items, state.x0):
-        z = 0.0
-        for _, px, py, pz, dx, dy, dz in state.items:
-            if px - _EPS <= x < px + dx - _EPS and py - _EPS <= y < py + dy - _EPS:
-                z = max(z, pz + dz)
-        out.append(CandidatePoint(bin_index, x, y, z))
-    return tuple(out)
+    anchors = state.anchors()
+    side = 2 * DEFAULT_TOL
+    zs = rest_heights(state.arrays(), anchors[:, 0], anchors[:, 1], side, side)
+    return tuple(CandidatePoint(bin_index, x, y, z)
+                 for (x, y), z in zip(anchors.tolist(), zs.tolist()))
 
 
 @dataclass
@@ -133,9 +136,6 @@ class _Spot:
     bin_index: int
     orientation: int
     dims: tuple[float, float, float]
-
-    def key(self):
-        return (self.score, self.z, self.y, self.x, self.bin_index, self.orientation)
 
 
 class _WorkState:
@@ -198,120 +198,66 @@ class _WorkState:
             anchors = bs.anchors(dense or len(bs.items) <= 8)
             for k in allowed:
                 a, b, c = effective_dims(case, k)
-                if a > bs.x1 - bs.x0 + _EPS or b > bs.width + _EPS or c > bs.height + _EPS:
+                if (a > bs.x1 - bs.x0 + DEFAULT_TOL or b > bs.width + DEFAULT_TOL
+                        or c > bs.height + DEFAULT_TOL):
                     continue
                 spot = self._scan(bs, anchors, a, b, c, g_cur, opening,
                                   self.weight[case_index])
                 if spot is not None:
+                    score, z, y, x = spot
                     scale = noise[k] if noise else 1.0
-                    cand = _Spot(spot[0], spot[1], spot[3], spot[2],
-                                 bs.index, k, (a, b, c))
-                    key = (spot[0] * scale, spot[1], spot[3], spot[2],
-                           bs.index, k)
+                    cand = _Spot(score, z, y, x, bs.index, k, (a, b, c))
+                    key = (score * scale, z, y, x, bs.index, k)
                     if best_key is None or key < best_key:
                         best, best_key = cand, key
         return best
 
     def _scan(self, bs: _BinState, anchors: np.ndarray, a: float, b: float,
               c: float, g_cur: float, opening: float, weight: float):
-        """Best (score, z, x, y) over an anchor array for fixed dims."""
+        """Best (score, z, y, x) over an anchor array for fixed dims."""
         arr = bs.arrays()
-        px, py, pz = arr[:, 0], arr[:, 1], arr[:, 2]
-        dx, dy, dz = arr[:, 3], arr[:, 4], arr[:, 5]
-        tops = pz + dz
         best = None
         for start in range(0, len(anchors), _ANCHOR_CHUNK):
             xs = anchors[start:start + _ANCHOR_CHUNK, 0]
             ys = anchors[start:start + _ANCHOR_CHUNK, 1]
-            ok = (xs + a <= bs.x1 + _EPS) & (ys + b <= bs.width + _EPS)
-            if not ok.any():
-                continue
+            ok = (xs + a <= bs.x1 + DEFAULT_TOL) & (ys + b <= bs.width + DEFAULT_TOL)
             xs, ys = xs[ok], ys[ok]
-            if len(arr):
-                over_x = (px[None, :] < xs[:, None] + a - _EPS) & \
-                         (xs[:, None] < (px + dx)[None, :] - _EPS)
-                over_y = (py[None, :] < ys[:, None] + b - _EPS) & \
-                         (ys[:, None] < (py + dy)[None, :] - _EPS)
-                over = over_x & over_y
-                z = np.where(over, tops[None, :], 0.0).max(axis=1, initial=0.0)
-            else:
-                over = None
-                z = np.zeros(len(xs))
-            fit = z + c <= bs.height + _EPS
-            if self.threshold is not None and len(xs):
-                area = np.where(z <= DEFAULT_TOL, a * b, 0.0)
-                if over is not None:
-                    touching = np.abs(tops[None, :] - z[:, None]) <= DEFAULT_TOL
-                    ox = (np.minimum(xs[:, None] + a, (px + dx)[None, :])
-                          - np.maximum(xs[:, None], px[None, :])).clip(min=0.0)
-                    oy = (np.minimum(ys[:, None] + b, (py + dy)[None, :])
-                          - np.maximum(ys[:, None], py[None, :])).clip(min=0.0)
-                    area = area + np.where(touching, ox * oy, 0.0).sum(axis=1)
-                fit &= area >= self.threshold * a * b - DEFAULT_TOL
+            z, fit = self._settle(bs, arr, xs, ys, a, b, c)
             if not fit.any():
                 continue
             xs, ys, z = xs[fit], ys[fit], z[fit]
             score = weight * (z + c) + np.maximum(0.0, z + c - g_cur) + opening
             pick = np.lexsort((xs, ys, z, score))[0]
-            cand = (float(score[pick]), float(z[pick]), float(xs[pick]), float(ys[pick]))
+            cand = (float(score[pick]), float(z[pick]), float(ys[pick]), float(xs[pick]))
             if best is None or cand < best:
                 best = cand
         return best
 
-    def drop_height(self, bs: _BinState, x: float, y: float, a: float, b: float) -> float:
-        z = 0.0
-        for _, px, py, pz, dx, dy, dz in bs.items:
-            if px < x + a - _EPS and x < px + dx - _EPS \
-                    and py < y + b - _EPS and y < py + dy - _EPS:
-                z = max(z, pz + dz)
-        return z
-
-    def support_ok(self, bs: _BinState, x: float, y: float, z: float,
-                   a: float, b: float, skip: int = -1) -> bool:
-        if self.threshold is None:
-            return True
-        area = a * b if z <= DEFAULT_TOL else 0.0
-        for ci, px, py, pz, dx, dy, dz in bs.items:
-            if ci == skip or abs(pz + dz - z) > DEFAULT_TOL:
-                continue
-            ox = min(x + a, px + dx) - max(x, px)
-            oy = min(y + b, py + dy) - max(y, py)
-            if ox > 0 and oy > 0:
-                area += ox * oy
-        return area >= self.threshold * a * b - DEFAULT_TOL
-
-    def dependents(self, bs: _BinState, case_index: int) -> list[tuple]:
-        """Cases resting (at least partly) on the given one."""
-        for it in bs.items:
-            if it[0] == case_index:
-                base = it
-                break
-        else:
-            return []
-        _, px, py, pz, dx, dy, dz = base
-        out = []
-        for it in bs.items:
-            ci, qx, qy, qz, ex, ey, _ = it
-            if ci == case_index or abs(qz - (pz + dz)) > DEFAULT_TOL:
-                continue
-            if qx < px + dx and px < qx + ex and qy < py + dy and py < qy + ey:
-                out.append(it)
-        return out
+    def _settle(self, bs: _BinState, arr: np.ndarray, xs, ys, a, b, c):
+        """Resting heights of ``a x b x c`` boxes dropped at ``(xs, ys)``, and
+        whether each stays below the bin's top with enough support."""
+        z = rest_heights(arr, xs, ys, a, b)
+        fit = z + c <= bs.height + DEFAULT_TOL
+        if self.threshold is not None:
+            base, _, area = support_pairs(arr, xs, ys, z, a, b)
+            fit &= support_credit(z, a, b, base, area) >= self.threshold * a * b - DEFAULT_TOL
+        return z, fit
 
     def removal_safe(self, case_index: int) -> bool:
-        """Would removing this case leave every dependent supported?"""
+        """Would removing this case leave every case resting on it supported?"""
         if self.threshold is None:
             return True
-        j = self.place[case_index][0]
-        bs = self.bins[j]
-        deps = self.dependents(bs, case_index)
-        if not deps:
+        bs = self.bins[self.place[case_index][0]]
+        pos = next(p for p, it in enumerate(bs.items) if it[0] == case_index)
+        base, box, area = bs.support()
+        resting = base[(box == pos) & (base != pos) & (area > 0)]
+        if not len(resting):
             return True
-        item = bs.remove(case_index)
-        ok = all(self.support_ok(bs, it[1], it[2], it[3], it[4], it[5], skip=it[0])
-                 for it in deps)
-        bs.restore(item)
-        return ok
+        keep = (box != pos) & (box != base)
+        arr = bs.arrays()
+        z, dx, dy = arr[:, 2], arr[:, 3], arr[:, 4]
+        credit = support_credit(z, dx, dy, base[keep], area[keep])
+        return bool((credit >= self.threshold * dx * dy - DEFAULT_TOL)[resting].all())
 
 
 def _case_order(inst: Instance, restart: int, rng: random.Random) -> list[int]:
@@ -470,8 +416,7 @@ def _rollback(state: _WorkState, snapshot) -> None:
     place, items = snapshot
     state.place = dict(place)
     for bs, saved in zip(state.bins, items):
-        bs.items = list(saved)
-        bs._cache = None
+        bs.reset(list(saved))
 
 
 def _improve(state: _WorkState, obj: float, cfg: SolverConfig, allowed, rng,
@@ -552,23 +497,21 @@ def _move_swap(state: _WorkState, obj: float, allowed, i1: int, i2: int):
 def _move_reorient(state: _WorkState, obj: float, allowed, i: int):
     if not state.removal_safe(i):
         return False, obj
-    j, x, y, z, k = state.place[i]
+    j, x, y, _, k = state.place[i]
     _, item = state.remove(i)
     bs = state.bins[j]
     case = state.inst.cases[i]
+    others = [k2 for k2 in allowed if k2 != k]
+    dims = [effective_dims(case, k2) for k2 in others]
+    a, b, c = np.array(dims).reshape(-1, 3).T
+    xs, ys = np.full(len(dims), x), np.full(len(dims), y)
+    z, fit = state._settle(bs, bs.arrays(), xs, ys, a, b, c)
+    fit &= (xs + a <= bs.x1 + DEFAULT_TOL) & (ys + b <= bs.width + DEFAULT_TOL)
     best = None
-    for k2 in allowed:
-        if k2 == k:
+    for k2, d, z2, ok in zip(others, dims, z.tolist(), fit.tolist()):
+        if not ok:
             continue
-        a, b, c = effective_dims(case, k2)
-        if x + a > bs.x1 + _EPS or y + b > bs.width + _EPS:
-            continue
-        z2 = state.drop_height(bs, x, y, a, b)
-        if z2 + c > bs.height + _EPS:
-            continue
-        if not state.support_ok(bs, x, y, z2, a, b):
-            continue
-        cand = _Spot(0.0, z2, y, x, j, k2, (a, b, c))
+        cand = _Spot(0.0, z2, y, x, j, k2, d)
         state.commit(i, cand)
         new_obj = state.objective()
         state.remove(i)

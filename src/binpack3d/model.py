@@ -45,10 +45,11 @@ from .geometry import (
     Packing,
     Placement,
     check_packing,
-    effective_dims,
     footprint_area,
     interval_overlap,
     max_footprint_area,
+    placed_box,
+    separating_relations,
 )
 
 BINARY = "binary"
@@ -550,8 +551,7 @@ def packing_to_assignment(model: Model, pack: Packing,
     m, n = inst.num_cases, inst.num_bins
     values: dict[str, float] = {v.name: 0.0 for v in model.registry}
     placements = pack.placements
-    dims = [effective_dims(inst.cases[p.case_index], p.orientation)
-            for p in placements]
+    boxes = [placed_box(inst.cases[p.case_index], p) for p in placements]
 
     used = [False] * n
     for p in placements:
@@ -567,59 +567,43 @@ def packing_to_assignment(model: Model, pack: Packing,
         start += spec.quantity
 
     tops = [0.0] * n
-    for p, (dx, dy, dz) in zip(placements, dims):
+    for p, box in zip(placements, boxes):
         i = p.case_index
         values[f"u[{i},{p.bin_index}]"] = 1.0
         values[f"r[{i},{p.orientation}]"] = 1.0
-        values[f"x[{i}]"] = p.x
-        values[f"y[{i}]"] = p.y
-        values[f"z[{i}]"] = p.z
-        values[f"xp[{i}]"] = dx
-        values[f"yp[{i}]"] = dy
-        values[f"zp[{i}]"] = dz
-        tops[p.bin_index] = max(tops[p.bin_index], p.z + dz)
+        values[f"x[{i}]"] = box.x
+        values[f"y[{i}]"] = box.y
+        values[f"z[{i}]"] = box.z
+        values[f"xp[{i}]"] = box.dx
+        values[f"yp[{i}]"] = box.dy
+        values[f"zp[{i}]"] = box.dz
+        tops[p.bin_index] = max(tops[p.bin_index], box.top)
     for j in range(n):
         values[f"g[{j}]"] = tops[j]
 
     for i in range(m):
         for i2 in range(i + 1, m):
-            pi, pi2 = placements[i], placements[i2]
-            di, di2 = dims[i], dims[i2]
-            coords = ((pi.x, di[0], pi2.x, di2[0]),
-                      (pi.y, di[1], pi2.y, di2[1]),
-                      (pi.z, di[2], pi2.z, di2[2]))
-            chosen = 0
-            for q in range(6):
-                a, da, b_, db = coords[q % 3]
-                lo, dlo, hi = (a, da, b_) if q < 3 else (b_, db, a)
-                if lo + dlo <= hi + tol:
-                    chosen = q
-                    break
-            values[f"b[{i},{i2},{chosen}]"] = 1.0
+            relations = separating_relations(boxes[i], boxes[i2], tol)
+            values[f"b[{i},{i2},{relations[0] if relations else 0}]"] = 1.0
 
     if model.support is not None:
         pieces = model.mccormick_pieces
-        for p, (dx, dy, _) in zip(placements, dims):
-            i = p.case_index
-            if p.z <= tol:
+        for i, box in enumerate(boxes):
+            if box.z <= tol:
                 values[f"fg[{i}]"] = 1.0
-                values[f"sg[{i}]"] = dx * dy
-        for i in range(m):
-            for i2 in range(m):
+                values[f"sg[{i}]"] = box.footprint
+        for i, up in enumerate(boxes):
+            for i2, lo in enumerate(boxes):
                 if i2 == i:
                     continue
-                pi, pi2 = placements[i], placements[i2]
-                di, di2 = dims[i], dims[i2]
-                touches = abs(pi.z - (pi2.z + di2[2])) <= tol
-                meets_x = (pi2.x <= pi.x + di[0] + tol
-                           and pi.x <= pi2.x + di2[0] + tol)
-                meets_y = (pi2.y <= pi.y + di[1] + tol
-                           and pi.y <= pi2.y + di2[1] + tol)
+                touches = abs(up.z - lo.top) <= tol
+                meets_x = lo.x <= up.x + up.dx + tol and up.x <= lo.x + lo.dx + tol
+                meets_y = lo.y <= up.y + up.dy + tol and up.y <= lo.y + lo.dy + tol
                 oxv = oyv = 0.0
                 if touches and meets_x and meets_y:
                     values[f"f[{i},{i2}]"] = 1.0
-                    oxv = interval_overlap(pi.x, di[0], pi2.x, di2[0])
-                    oyv = interval_overlap(pi.y, di[1], pi2.y, di2[1])
+                    oxv = interval_overlap(up.x, up.dx, lo.x, lo.dx)
+                    oyv = interval_overlap(up.y, up.dy, lo.y, lo.dy)
                     values[f"ox[{i},{i2}]"] = oxv
                     values[f"oy[{i},{i2}]"] = oyv
                     values[f"s[{i},{i2}]"] = oxv * oyv

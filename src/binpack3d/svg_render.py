@@ -3,13 +3,24 @@
 Views project the global frame onto a plane: ``top`` (x/y), ``front``
 (x/z), ``side`` (y/z).  ``layers`` renders one top-view cross section per
 distinct base height in the packing.  Cases are colored by their catalogue
-id; pairwise overlap regions (infeasible packings) are stroked in the
+id; the overlap region of every pair that ``validate`` reports as
+overlapping (penetration beyond ``DEFAULT_TOL``) is stroked in the
 violation style so defects are visible at a glance.
 """
 
 from __future__ import annotations
 
-from .geometry import Instance, Packing, check_packing, placed_box
+import numpy as np
+
+from .geometry import (
+    DEFAULT_TOL,
+    Instance,
+    Packing,
+    box_array,
+    check_packing,
+    penetration_matrix,
+    placed_box,
+)
 
 VIEWS = ("top", "front", "side", "layers")
 
@@ -60,21 +71,17 @@ _BIN_STYLE = 'fill="none" stroke="#888" stroke-width="1"'
 
 
 def _overlap_rects(inst: Instance, pack: Packing, axes: tuple[int, int]) -> list[tuple]:
-    """Projected overlap regions of intersecting same-bin pairs."""
-    boxes = [placed_box(inst.cases[p.case_index], p) for p in pack.placements]
+    """Projected overlap regions of the pairs ``validate`` reports."""
+    boxes = box_array(placed_box(inst.cases[p.case_index], p) for p in pack.placements)
+    bins = np.array([p.bin_index for p in pack.placements])
+    hits = (penetration_matrix(boxes) > DEFAULT_TOL) & (bins[:, None] == bins)
+    lo, hi = boxes[:, :3], boxes[:, :3] + boxes[:, 3:]
+    u, v = axes
     out = []
-    for a_pos, pa in enumerate(pack.placements):
-        for b_pos in range(a_pos + 1, len(pack.placements)):
-            pb = pack.placements[b_pos]
-            if pa.bin_index != pb.bin_index:
-                continue
-            ba, bb = boxes[a_pos], boxes[b_pos]
-            lo = [max(ba.x, bb.x), max(ba.y, bb.y), max(ba.z, bb.z)]
-            hi = [min(ba.x + ba.dx, bb.x + bb.dx), min(ba.y + ba.dy, bb.y + bb.dy),
-                  min(ba.z + ba.dz, bb.z + bb.dz)]
-            if all(hi[axis] > lo[axis] + 1e-9 for axis in range(3)):
-                u, v = axes
-                out.append((lo[u], lo[v], hi[u] - lo[u], hi[v] - lo[v]))
+    for a, b in zip(*np.triu(hits, 1).nonzero()):
+        low = np.maximum(lo[a], lo[b]).tolist()
+        high = np.minimum(hi[a], hi[b]).tolist()
+        out.append((low[u], low[v], high[u] - low[u], high[v] - low[v]))
     return out
 
 
@@ -141,7 +148,7 @@ def _render_layers(inst: Instance, pack: Packing) -> str:
                                     inst.bins[j].width, _BIN_STYLE))
         for p in pack.placements:
             box = boxes[p.case_index]
-            if box.z <= level + 1e-9 < box.top:
+            if box.z <= level + DEFAULT_TOL < box.top:
                 lines.append(panel.rect(box.x, box.y, box.dx, box.dy,
                                         _case_style(inst.cases[p.case_index].spec_id)))
         lines.append(f'  <g class="layer-sep" data-z="{_fmt(level)}"></g>')

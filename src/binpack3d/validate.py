@@ -15,19 +15,22 @@ is a result, not an error.  Families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .geometry import (
     DEFAULT_TOL,
     Instance,
     Packing,
+    box_array,
     check_packing,
-    footprint_area,
-    ground_support,
     objective_value,
-    penetration_depth,
+    penetration_matrix,
     placed_box,
-    support_area,
+    support_credit,
+    support_pairs,
 )
 from .metrics import bin_utilizations
 
@@ -80,9 +83,15 @@ def validate(inst: Instance, pack: Packing, tol: float = DEFAULT_TOL,
 
     ``support`` overrides the instance's own support threshold; pass None
     to fall back to it (and to disabled when the instance has none).
-    Raises only for structurally broken packings (wrong placement count or
-    out-of-range indices); every geometric defect becomes a violation.
+    Raises ValueError for a ``tol`` that is negative or not finite, a
+    ``support`` outside [0, 1] and structurally broken packings (wrong
+    placement count or out-of-range indices); every geometric defect
+    becomes a violation.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tolerance must be a finite number >= 0")
+    if support is not None and not 0 <= support <= 1:
+        raise ValueError("support threshold must lie in [0, 1]")
     check_packing(inst, pack)
     threshold = support if support is not None else inst.support_threshold
     violations: list[Violation] = []
@@ -109,29 +118,26 @@ def validate(inst: Instance, pack: Packing, tol: float = DEFAULT_TOL,
                 depth = min(seam - box.x, box.x + box.dx - seam)
                 violations.append(Violation("bin_gap", (p.case_index,), depth))
 
-    # Overlap: same-bin pairs must be disjoint as open boxes.
+    # Overlap (same-bin pairs disjoint as open boxes) and support (credited
+    # contact area against the threshold fraction), one bin at a time.
     by_bin: dict[int, list[int]] = {}
     for p in pack.placements:
         by_bin.setdefault(p.bin_index, []).append(p.case_index)
-    for members in by_bin.values():
-        for a_pos, i in enumerate(members):
-            for i2 in members[a_pos + 1:]:
-                depth = penetration_depth(boxes[i], boxes[i2])
-                if depth > tol:
-                    violations.append(Violation("overlap", (min(i, i2), max(i, i2)), depth))
-
-    # Support: credited contact area against the threshold fraction.
     coverage: dict[int, float] = {}
-    if threshold is not None:
-        for p in pack.placements:
-            i = p.case_index
-            box = boxes[i]
-            credit = ground_support(box, tol)
-            for p2 in pack.placements:
-                if p2.case_index == i or p2.bin_index != p.bin_index:
-                    continue
-                credit += support_area(boxes[p2.case_index], box, tol)
-            footprint = box.footprint
+    for members in by_bin.values():
+        arr = box_array(boxes[i] for i in members)
+        depth = penetration_matrix(arr)
+        for a, b in zip(*np.triu(depth > tol, 1).nonzero()):
+            violations.append(Violation("overlap", (members[a], members[b]),
+                                        float(depth[a, b])))
+        if threshold is None:
+            continue
+        x, y, z, dx, dy = arr[:, :5].T
+        base, box, area = support_pairs(arr, x, y, z, dx, dy, tol)
+        others = base != box
+        credits = support_credit(z, dx, dy, base[others], area[others], tol)
+        for i, credit in zip(members, credits.tolist()):
+            footprint = boxes[i].footprint
             coverage[i] = credit / footprint if footprint > 0 else 1.0
             deficit = threshold * footprint - credit
             if deficit > tol:
@@ -145,18 +151,3 @@ def validate(inst: Instance, pack: Packing, tol: float = DEFAULT_TOL,
         utilization=bin_utilizations(inst, pack),
         support_coverage=coverage,
     )
-
-
-def separating_relations(a, b, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
-    """Relations (0..5) that hold between two placed boxes.
-
-    0: a left of b, 1: a behind b, 2: a below b; 3..5 swap the roles.
-    Disjoint boxes always satisfy at least one.
-    """
-    out = []
-    pairs = ((a.x, a.dx, b.x), (a.y, a.dy, b.y), (a.z, a.dz, b.z),
-             (b.x, b.dx, a.x), (b.y, b.dy, a.y), (b.z, b.dz, a.z))
-    for q, (lo, ext, hi) in enumerate(pairs):
-        if lo + ext <= hi + tol:
-            out.append(q)
-    return tuple(out)

@@ -215,14 +215,37 @@ class TestUsageErrors:
         ["solve", "--time-limit", "nan"],
         ["solve", "--support-threshold", "1.5"],
         ["solve", "--support-threshold", "-1"],
-        ["export", "--support-threshold", "1.5"]])
-    def test_out_of_range_flags_rejected(self, tmp_path, capsys, argv):
+        ["export", "--support-threshold", "1.5"],
+        ["validate", "--packing", "PACKING", "--support-threshold", "1.5"],
+        ["validate", "--packing", "PACKING", "--support-threshold", "-0.5"],
+        ["validate", "--packing", "PACKING", "--tol", "nan"],
+        ["validate", "--packing", "PACKING", "--tol", "inf"],
+        ["validate", "--packing", "PACKING", "--tol", "-1"]])
+    def test_out_of_range_flags_rejected(self, tmp_path, capsys, bad_packing_file,
+                                         argv):
+        argv = [str(bad_packing_file) if a == "PACKING" else a for a in argv]
         out = tmp_path / "out.lp"
         code, _, err = run_cli([*argv, "--instance", "bundled:1", "--out", str(out)],
                                capsys)
         assert code == 1
         assert err.startswith("binpack3d: error:")
         assert err.strip().count("\n") == 0
+        assert not out.exists()
+
+    def test_envelope_overflow_is_a_usage_error(self, tmp_path, capsys):
+        # each bin is finite, but the frame they span together is not
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "name": "huge",
+            "cases": [{"id": 0, "quantity": 1, "length": 1, "width": 1, "height": 1}],
+            "bins": [{"type_id": 0, "quantity": 2, "length": 1e308, "width": 1,
+                      "height": 1}]}))
+        out = tmp_path / "out.lp"
+        code, _, err = run_cli(["export", "--instance", str(path), "--out", str(out)],
+                               capsys)
+        assert code == 1
+        assert err.startswith("binpack3d: error:")
+        assert err.strip().count("\n") == 0 and "Traceback" not in err
         assert not out.exists()
 
     def test_instances_listing(self, capsys):

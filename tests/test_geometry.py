@@ -1,9 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binpack3d.geometry import (
+    DEFAULT_TOL,
     ORIENTATIONS,
     BinSpec,
     CaseSpec,
@@ -11,14 +15,19 @@ from binpack3d.geometry import (
     Packing,
     PlacedBox,
     Placement,
+    box_array,
     effective_dims,
     footprint_area,
     ground_support,
     interval_overlap,
     objective_value,
     penetration_depth,
+    penetration_matrix,
     placed_box,
+    rest_heights,
     support_area,
+    support_credit,
+    support_pairs,
 )
 
 
@@ -257,3 +266,63 @@ class TestTypes:
         box = placed_box(case, Placement(0, 0, 1, 1, 1, 5))
         assert (box.dx, box.dy, box.dz) == (1, 3, 2)
         assert box.top == 3
+
+
+# Coordinates on a 0.5 grid, so touching faces and shared edges occur often.
+_coord = st.integers(0, 12).map(lambda v: v / 2)
+_length = st.integers(1, 6).map(lambda v: v / 2)
+_boxes = st.lists(st.builds(PlacedBox, _coord, _coord, _coord, _length, _length, _length),
+                  max_size=8)
+_anchors = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8)
+_property = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _credit(upper, lowers):
+    """Scalar support credit: the floor, then each lower box in order."""
+    credit = ground_support(upper)
+    for lower in lowers:
+        credit += support_area(lower, upper)
+    return credit
+
+
+class TestVectorKernel:
+    """The vector kernel equals the scalar reference predicates."""
+
+    @_property
+    @given(_boxes)
+    def test_penetration_matrix(self, boxes):
+        got = penetration_matrix(box_array(boxes))
+        assert got.tolist() == [[penetration_depth(a, b) for b in boxes] for a in boxes]
+
+    @_property
+    @given(_boxes)
+    def test_box_on_box_support_credit(self, boxes):
+        arr = box_array(boxes)
+        x, y, z, dx, dy = arr[:, :5].T
+        base, box, area = support_pairs(arr, x, y, z, dx, dy)
+        dense = np.zeros((len(boxes), len(boxes)))
+        dense[base, box] = area
+        assert dense.tolist() == [[support_area(lower, upper) for lower in boxes]
+                                  for upper in boxes]
+        others = base != box
+        credit = support_credit(z, dx, dy, base[others], area[others])
+        assert credit.tolist() == [
+            _credit(upper, [lower for j, lower in enumerate(boxes) if j != i])
+            for i, upper in enumerate(boxes)]
+
+    @_property
+    @given(_boxes, _anchors, _length, _length)
+    def test_rest_height_and_credit_at_anchors(self, boxes, anchors, a, b):
+        arr = box_array(boxes)
+        xs, ys = np.array(anchors, dtype=float).T
+        z = rest_heights(arr, xs, ys, a, b)
+        assert z.tolist() == [
+            max((lower.top for lower in boxes
+                 if interval_overlap(lower.x, lower.dx, x, a) > DEFAULT_TOL
+                 and interval_overlap(lower.y, lower.dy, y, b) > DEFAULT_TOL),
+                default=0.0)
+            for x, y in anchors]
+        base, _, area = support_pairs(arr, xs, ys, z, a, b)
+        credit = support_credit(z, a, b, base, area)
+        assert credit.tolist() == [_credit(PlacedBox(x, y, zi, a, b, 1.0), boxes)
+                                   for (x, y), zi in zip(anchors, z.tolist())]

@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
+from binpack3d import heuristic
 from binpack3d.exact import solve_exact
-from binpack3d.geometry import BinSpec, CaseSpec, Instance
+from binpack3d.geometry import ORIENTATIONS, BinSpec, CaseSpec, Instance
 from binpack3d.heuristic import candidate_anchors, solve_heuristic
 from binpack3d.instance_io import load_bundled, write_packing
 from binpack3d.metrics import BoundInconsistencyWarning, gap_vs_bound
@@ -137,6 +139,58 @@ class TestCandidateAnchors:
                 assert x0 <= a.x <= x1 + 1e-9
                 assert 0 <= a.y <= inst.bins[j].width + 1e-9
                 assert 0 <= a.z <= inst.bins[j].height + 1e-9
+
+
+def _tie_instance():
+    return Instance("ties", (CaseSpec(0, 2, 2, 2), CaseSpec(1, 1, 1, 1)),
+                    (BinSpec(0, 10, 10, 10, quantity=2),))
+
+
+class TestAnchorChunks:
+    """Anchors are scanned in chunks; the chunk size must not change the
+    pick, so chunks merge in the (score, z, y, x) order used within one."""
+
+    @pytest.fixture
+    def states(self):
+        inst = _tie_instance()
+        empty = heuristic._WorkState(inst, None)
+        # a unit cube fits on the floor at three tied anchors around this box
+        corner = heuristic._WorkState(inst, None)
+        corner.commit(0, heuristic._Spot(0.0, 0.0, 0.0, 0.0, 0, 1, (2.0, 2.0, 2.0)))
+        bench = heuristic._WorkState(load_bundled(1), 0.8)
+        for i in range(10):
+            assert heuristic._insert(bench, i, ORIENTATIONS)
+        return [(empty, 1), (corner, 1), (bench, 10)]
+
+    def test_best_spot_independent_of_chunk_size(self, monkeypatch, states):
+        spots = {}
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(heuristic, "_ANCHOR_CHUNK", chunk)
+            spots[chunk] = [state.best_spot(i, ORIENTATIONS, dense=True)
+                            for state, i in states]
+        assert spots[1] == spots[7] == spots[4096]
+        assert (spots[1][1].x, spots[1][1].y, spots[1][1].z) == (2.0, 0.0, 0.0)
+
+    def test_ties_on_an_empty_bin_break_by_y_then_x(self, monkeypatch):
+        state = heuristic._WorkState(_tie_instance(), None)
+        diagonal = np.array([(x, 4.0 - x) for x in range(5)], dtype=float)
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(heuristic, "_ANCHOR_CHUNK", chunk)
+            spot = state._scan(state.bins[0], diagonal, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+            assert spot == (1.0, 0.0, 0.0, 4.0)  # (score, z, y, x)
+
+
+class TestRemovalSafe:
+    @pytest.mark.parametrize("threshold,safe", [(0.8, [False, False, True]),
+                                                (0.5, [True, True, True])])
+    def test_dependents_keep_their_support(self, threshold, safe):
+        inst = Instance("bridge", (CaseSpec(0, 2, 2, 2, quantity=3),),
+                        (BinSpec(0, 10, 10, 10),))
+        state = heuristic._WorkState(inst, threshold)
+        # case 2 rests half on case 0 and half on case 1
+        for i, (x, z) in enumerate([(0.0, 0.0), (2.0, 0.0), (1.0, 2.0)]):
+            state.commit(i, heuristic._Spot(0.0, z, 0.0, x, 0, 1, (2.0, 2.0, 2.0)))
+        assert [state.removal_safe(i) for i in range(3)] == safe
 
 
 class TestConfig:

@@ -4,6 +4,7 @@ import pytest
 
 from binpack3d.geometry import BinSpec, CaseSpec, Instance, Packing, Placement
 from binpack3d.svg_render import render_svg
+from binpack3d.validate import validate
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -49,6 +50,16 @@ class TestViews:
         text = render_svg(inst, pack, view="top")
         assert len(rects(text, "case")) == 2
         assert len(rects(text, "violation")) == 1
+
+    @pytest.mark.parametrize("depth,marks", [(5e-7, 0), (1e-3, 1)])
+    def test_violation_marks_agree_with_validate(self, depth, marks):
+        inst = Instance("svg7", (CaseSpec(0, 2, 2, 2, quantity=2),),
+                        (BinSpec(0, 10, 10, 10),))
+        pack = Packing((Placement(0, 0, 0, 0, 0, 1),
+                        Placement(1, 0, 2 - depth, 0, 0, 1)))
+        assert validate(inst, pack).feasible == (marks == 0)
+        for view in ("top", "front", "side"):
+            assert len(rects(render_svg(inst, pack, view), "violation")) == marks
 
     def test_feasible_packing_has_no_violation_marks(self):
         inst = Instance("svg4", (CaseSpec(0, 2, 2, 2, quantity=2),),

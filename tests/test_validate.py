@@ -10,9 +10,10 @@ from binpack3d.geometry import (
     Packing,
     PlacedBox,
     Placement,
+    separating_relations,
 )
 from binpack3d.model import build_model, check_assignment, packing_to_assignment
-from binpack3d.validate import separating_relations, validate
+from binpack3d.validate import validate
 
 from conftest import make_instance, random_packing, stacked_packing
 
