@@ -60,8 +60,7 @@ def solve_exact(inst: Instance, cfg: SolverConfig | None = None) -> ExactResult:
     allowed = ORIENTATIONS if cfg.orientations == 6 else UPRIGHT_ORIENTATIONS
     threshold = cfg.effective_support(inst)
     cases, bins = inst.cases, inst.bins
-    vmax = max(c.volume for c in cases)
-    weights = [c.volume / (m * vmax) for c in cases]
+    weights = inst.case_weights
 
     deadline = None
     node_budget = None

@@ -174,6 +174,15 @@ class Instance:
         return len(self.bins)
 
     @cached_property
+    def case_weights(self) -> tuple[float, ...]:
+        """Objective weight v_i / (m * v_max) of each case, in case order."""
+        m = self.num_cases
+        if not m:
+            return ()
+        vmax = max(c.volume for c in self.cases)
+        return tuple(c.volume / (m * vmax) for c in self.cases)
+
+    @cached_property
     def cum_lengths(self) -> tuple[float, ...]:
         """End coordinate of each bin in the back-to-back frame."""
         ends, total = [], 0.0
@@ -356,13 +365,9 @@ def objective_value(inst: Instance, pack: Packing) -> float:
     """
     check_packing(inst, pack)
     total = 0.0
-    if inst.cases:
-        m = inst.num_cases
-        vmax = max(c.volume for c in inst.cases)
-        for p in pack.placements:
-            case = inst.cases[p.case_index]
-            _, _, zp = effective_dims(case, p.orientation)
-            total += (p.z + zp) * (case.volume / (m * vmax))
+    for p in pack.placements:
+        _, _, zp = effective_dims(inst.cases[p.case_index], p.orientation)
+        total += (p.z + zp) * inst.case_weights[p.case_index]
     tops = pack.top_heights(inst)
     used = set(pack.used_bins())
     for j, b in enumerate(inst.bins):

@@ -9,9 +9,14 @@ overlap-free by construction.  A dense anchor grid is tried before giving
 up on a case.  Resting heights, support credit and bounds come from the
 vector kernel in ``geometry`` at ``DEFAULT_TOL``, the validator's tolerance.
 
-Improvement applies strict-descent moves (reinsert one case, swap a pair,
-reorient in place) until the budget runs out.  In deterministic mode the
-time limit maps to a fixed step budget so runs replay identically.
+Improvement applies strict-descent moves until the budget runs out.  Each
+move is one evict/re-place step (``_move``): take cases out while their
+dependents stay supported (``_evict``), put them back largest-first at their
+best spots, and keep the result only if the objective drops (``_undo``
+otherwise).  Reinsert moves one case, swap two, and reorient one case at its
+own bin and anchor in another orientation.  Construction's repair evicts and
+re-places through the same two primitives.  In deterministic mode the time
+limit maps to a fixed step budget so runs replay identically.
 """
 
 from __future__ import annotations
@@ -146,9 +151,7 @@ class _WorkState:
         self.threshold = threshold
         self.bins = [_BinState(inst, j) for j in range(inst.num_bins)]
         self.place: dict[int, tuple[int, float, float, float, int]] = {}
-        m = inst.num_cases
-        vmax = max(c.volume for c in inst.cases) if m else 1.0
-        self.weight = [c.volume / (m * vmax) for c in inst.cases] if m else []
+        self.weight = inst.case_weights
 
     def objective(self) -> float:
         total = 0.0
@@ -164,13 +167,15 @@ class _WorkState:
         self.bins[spot.bin_index].add(case_index, spot.x, spot.y, spot.z, dx, dy, dz)
         self.place[case_index] = (spot.bin_index, spot.x, spot.y, spot.z, spot.orientation)
 
-    def remove(self, case_index: int) -> tuple[int, tuple]:
-        j = self.place.pop(case_index)[0]
-        return j, self.bins[j].remove(case_index)
+    def remove(self, case_index: int) -> tuple:
+        """Take a case out; ``restore`` appends the returned record back."""
+        row = self.place.pop(case_index)
+        return case_index, row, self.bins[row[0]].remove(case_index)
 
-    def restore(self, case_index: int, j: int, item: tuple, orientation: int) -> None:
-        self.bins[j].restore(item)
-        self.place[case_index] = (j, item[1], item[2], item[3], orientation)
+    def restore(self, record: tuple) -> None:
+        case_index, row, item = record
+        self.bins[row[0]].restore(item)
+        self.place[case_index] = row
 
     def packing(self) -> Packing:
         return Packing(tuple(
@@ -181,21 +186,26 @@ class _WorkState:
 
     def best_spot(self, case_index: int, allowed: tuple[int, ...],
                   dense: bool = False,
-                  noise: dict[int, float] | None = None) -> _Spot | None:
+                  noise: dict[int, float] | None = None,
+                  at: tuple[int, float, float] | None = None) -> _Spot | None:
         """Cheapest placement for a case over all bins and orientations.
 
         ``noise`` optionally scales each orientation's score; restarts use
-        it to escape the pure-greedy orientation choice.
+        it to escape the pure-greedy orientation choice.  ``at=(bin, x, y)``
+        limits the search to that one bin and anchor.
         """
         case = self.inst.cases[case_index]
         best: _Spot | None = None
         best_key = None
-        for bs in self.bins:
+        for bs in self.bins if at is None else (self.bins[at[0]],):
             opening = 0.0 if bs.items else self.inst.bins[bs.index].height
             g_cur = bs.top()
-            # the full anchor grid is small enough to use outright when few
-            # boxes are placed, and it finds tucked spots corners miss
-            anchors = bs.anchors(dense or len(bs.items) <= 8)
+            if at is not None:
+                anchors = np.array([at[1:]], dtype=float)
+            else:
+                # the full anchor grid is small enough to use outright when
+                # few boxes are placed, and it finds tucked spots corners miss
+                anchors = bs.anchors(dense or len(bs.items) <= 8)
             for k in allowed:
                 a, b, c = effective_dims(case, k)
                 if (a > bs.x1 - bs.x0 + DEFAULT_TOL or b > bs.width + DEFAULT_TOL
@@ -382,41 +392,50 @@ def _repair(state: _WorkState, stuck: int, allowed, rng, budget, noise=None,
             tries: int = 24) -> bool:
     """Unstick construction: evict a few cases, place the stuck one first,
     then re-place the evicted ones largest-first."""
-    placed = sorted(state.place)
-    if not placed:
+    population = sorted(state.place)
+    if not population:
         return False
     for attempt in range(tries):
         if budget.exhausted() and attempt > 0:
             return False
         budget.tick()
-        victims = rng.sample(placed, min(2 + attempt // 4, len(placed)))
+        victims = rng.sample(population, min(2 + attempt // 4, len(population)))
         if any(not state.removal_safe(v) for v in victims):
             continue
-        snapshot = _snapshot(state)
-        ok = True
-        for v in sorted(victims):
-            if not state.removal_safe(v):
-                ok = False
+        taken = _evict(state, sorted(victims))
+        if taken is None:
+            continue
+        placed = []
+        for v in [stuck] + sorted(victims, key=lambda v: -state.inst.cases[v].volume):
+            if not _insert(state, v, allowed, noise):
                 break
-            state.remove(v)
-        if ok:
-            todo = [stuck] + sorted(victims, key=lambda v: -state.inst.cases[v].volume)
-            ok = all(_insert(state, v, allowed, noise) for v in todo)
-        if ok:
+            placed.append(v)
+        if len(placed) == len(victims) + 1:
             return True
-        _rollback(state, snapshot)
+        _undo(state, placed, taken)
     return False
 
 
-def _snapshot(state: _WorkState):
-    return (dict(state.place), [list(bs.items) for bs in state.bins])
+def _evict(state: _WorkState, cases) -> list[tuple] | None:
+    """Take ``cases`` out in order, each only while ``removal_safe`` holds at
+    its turn.  All or nothing: returns the removal records, or None after
+    putting back what was already taken."""
+    taken = []
+    for i in cases:
+        if not state.removal_safe(i):
+            _undo(state, (), taken)
+            return None
+        taken.append(state.remove(i))
+    return taken
 
 
-def _rollback(state: _WorkState, snapshot) -> None:
-    place, items = snapshot
-    state.place = dict(place)
-    for bs, saved in zip(state.bins, items):
-        bs.reset(list(saved))
+def _undo(state: _WorkState, placed, taken) -> None:
+    """Remove the re-placed cases newest first, then restore the taken ones
+    in order."""
+    for i in reversed(placed):
+        state.remove(i)
+    for record in taken:
+        state.restore(record)
 
 
 def _improve(state: _WorkState, obj: float, cfg: SolverConfig, allowed, rng,
@@ -432,15 +451,18 @@ def _improve(state: _WorkState, obj: float, cfg: SolverConfig, allowed, rng,
         move = rng.choices(names, weights)[0]
         improved = False
         if move == "reinsert":
-            improved, obj = _move_reinsert(state, obj, allowed, rng.randrange(m))
+            improved, obj = _move(state, obj, allowed, (rng.randrange(m),))
         elif move == "swap" and m >= 2:
             i1 = rng.randrange(m)
             i2 = rng.randrange(m - 1)
             if i2 >= i1:
                 i2 += 1
-            improved, obj = _move_swap(state, obj, allowed, i1, i2)
+            improved, obj = _move(state, obj, allowed, (i1, i2))
         elif move == "reorient":
-            improved, obj = _move_reorient(state, obj, allowed, rng.randrange(m))
+            i = rng.randrange(m)
+            j, x, y, _, k = state.place[i]
+            others = tuple(k2 for k2 in allowed if k2 != k)
+            improved, obj = _move(state, obj, others, (i,), at=(j, x, y))
         if improved:
             stall = 0
             on_improve(obj, state)
@@ -449,76 +471,23 @@ def _improve(state: _WorkState, obj: float, cfg: SolverConfig, allowed, rng,
     return obj
 
 
-def _move_reinsert(state: _WorkState, obj: float, allowed, i: int):
-    if not state.removal_safe(i):
+def _move(state: _WorkState, obj: float, allowed, cases, at=None):
+    """Evict ``cases``, re-place them largest-first at their best spots
+    (``at`` pins bin and anchor) and keep that only if the objective drops.
+    Returns (improved, objective)."""
+    taken = _evict(state, cases)
+    if taken is None:
         return False, obj
-    _, _, _, _, k = state.place[i]
-    j, item = state.remove(i)
-    spot = state.best_spot(i, allowed)
-    if spot is not None:
-        state.commit(i, spot)
-        new_obj = state.objective()
-        if new_obj < obj - 1e-12:
-            return True, new_obj
-        state.remove(i)
-    state.restore(i, j, item, k)
-    return False, obj
-
-
-def _move_swap(state: _WorkState, obj: float, allowed, i1: int, i2: int):
-    if not state.removal_safe(i1):
-        return False, obj
-    k1 = state.place[i1][4]
-    k2 = state.place[i2][4]
-    j1, item1 = state.remove(i1)
-    if not state.removal_safe(i2):
-        state.restore(i1, j1, item1, k1)
-        return False, obj
-    j2, item2 = state.remove(i2)
-    order = sorted((i1, i2), key=lambda i: -state.inst.cases[i].volume)
-    committed = []
-    for i in order:
-        spot = state.best_spot(i, allowed)
+    placed = []
+    for i in sorted(cases, key=lambda i: -state.inst.cases[i].volume):
+        spot = state.best_spot(i, allowed, at=at)
         if spot is None:
             break
         state.commit(i, spot)
-        committed.append(i)
-    if len(committed) == 2:
+        placed.append(i)
+    if len(placed) == len(cases):
         new_obj = state.objective()
         if new_obj < obj - 1e-12:
             return True, new_obj
-    for i in reversed(committed):
-        state.remove(i)
-    state.restore(i1, j1, item1, k1)
-    state.restore(i2, j2, item2, k2)
-    return False, obj
-
-
-def _move_reorient(state: _WorkState, obj: float, allowed, i: int):
-    if not state.removal_safe(i):
-        return False, obj
-    j, x, y, _, k = state.place[i]
-    _, item = state.remove(i)
-    bs = state.bins[j]
-    case = state.inst.cases[i]
-    others = [k2 for k2 in allowed if k2 != k]
-    dims = [effective_dims(case, k2) for k2 in others]
-    a, b, c = np.array(dims).reshape(-1, 3).T
-    xs, ys = np.full(len(dims), x), np.full(len(dims), y)
-    z, fit = state._settle(bs, bs.arrays(), xs, ys, a, b, c)
-    fit &= (xs + a <= bs.x1 + DEFAULT_TOL) & (ys + b <= bs.width + DEFAULT_TOL)
-    best = None
-    for k2, d, z2, ok in zip(others, dims, z.tolist(), fit.tolist()):
-        if not ok:
-            continue
-        cand = _Spot(0.0, z2, y, x, j, k2, d)
-        state.commit(i, cand)
-        new_obj = state.objective()
-        state.remove(i)
-        if new_obj < obj - 1e-12 and (best is None or new_obj < best[0]):
-            best = (new_obj, cand)
-    if best is not None:
-        state.commit(i, best[1])
-        return True, best[0]
-    state.restore(i, j, item, k)
+    _undo(state, placed, taken)
     return False, obj

@@ -67,7 +67,8 @@ _EFF_ROWS = {
 
 
 class SolutionImportError(ValueError):
-    """A required variable is missing from a solver value map."""
+    """A solver value map lacks a required variable or holds a coordinate
+    that no placement can take."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,10 +350,9 @@ def build_model(inst: Instance, *, support: float | None = None,
                    for i, i2 in ordered_pairs for p in range(mccormick_pieces)}
 
     # --- objective -------------------------------------------------------
-    vmax = max(c.volume for c in cases)
     obj = model.objective
     for i, case in enumerate(cases):
-        weight = case.volume / (m * vmax)
+        weight = inst.case_weights[i]
         obj.append((z[i], weight))
         for kpos, k in enumerate(ORIENTATIONS):
             obj.append((r[i][kpos], weight * case.dims[_EFF_ROWS["zp"][k]]))
@@ -665,9 +665,14 @@ def check_assignment(model: Model, values, tol: float = DEFAULT_TOL) -> list[Row
 
 @dataclass
 class ImportReport:
-    """Reconstruction notes for a solver value map."""
+    """Reconstruction notes for a solver value map.
+
+    ``clamped`` names the x/y/z variables whose small negative solver noise
+    (within ``DEFAULT_TOL`` of 0) was read as 0.0.
+    """
 
     integrality_violations: tuple[str, ...] = ()
+    clamped: tuple[str, ...] = ()
 
     @property
     def clean(self) -> bool:
@@ -679,7 +684,9 @@ def import_solution(model: Model, values: dict[str, float]) -> tuple[Packing, Im
 
     Requires every x/y/z, r and u variable; bin and orientation come from
     the largest u and r values.  Binary values off {0, 1} by more than the
-    integrality tolerance are reported but do not abort the import.
+    integrality tolerance are reported but do not abort the import.  A
+    coordinate in [-DEFAULT_TOL, 0) is clamped to 0.0 and reported; one
+    below that, or not finite, raises ``SolutionImportError``.
     """
     inst = model.instance
     m, n = inst.num_cases, inst.num_bins
@@ -690,6 +697,17 @@ def import_solution(model: Model, values: dict[str, float]) -> tuple[Packing, Im
         return float(values[name])
 
     suspicious: list[str] = []
+    clamped: list[str] = []
+
+    def coordinate(name: str) -> float:
+        val = need(name)
+        if not -DEFAULT_TOL <= val < math.inf:
+            raise SolutionImportError(
+                f"{name} = {val!r} is not a finite non-negative coordinate")
+        if val < 0:
+            clamped.append(name)
+            return 0.0
+        return val
 
     def binary_val(name: str) -> float:
         val = need(name)
@@ -705,9 +723,9 @@ def import_solution(model: Model, values: dict[str, float]) -> tuple[Packing, Im
         kpos = max(range(6), key=lambda q: (rvals[q], -q))
         placements.append(Placement(
             case_index=i, bin_index=bin_index,
-            x=need(f"x[{i}]"), y=need(f"y[{i}]"), z=need(f"z[{i}]"),
+            x=coordinate(f"x[{i}]"), y=coordinate(f"y[{i}]"), z=coordinate(f"z[{i}]"),
             orientation=ORIENTATIONS[kpos]))
-    return Packing(tuple(placements)), ImportReport(tuple(suspicious))
+    return Packing(tuple(placements)), ImportReport(tuple(suspicious), tuple(clamped))
 
 
 def parse_value_file(text: str) -> dict[str, float]:

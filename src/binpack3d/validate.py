@@ -4,9 +4,6 @@ The validator works on coordinates directly, with no model involved, and
 returns a verdict per constraint family rather than raising: infeasibility
 is a result, not an error.  Families:
 
-    orientation  orientation index outside 1..6 (defensive; normal
-                 construction already rejects these)
-    assignment   structural case/bin bookkeeping
     overlap      two cases in the same bin intersect as open boxes
     boundary     a case leaves its bin's window in x, y or z
     bin_gap      a case straddles the seam between two bins
@@ -34,7 +31,7 @@ from .geometry import (
 )
 from .metrics import bin_utilizations
 
-FAMILIES = ("orientation", "assignment", "overlap", "boundary", "bin_gap", "support")
+FAMILIES = ("overlap", "boundary", "bin_gap", "support")
 
 _FAMILY_ORDER = {name: pos for pos, name in enumerate(FAMILIES)}
 

@@ -5,7 +5,14 @@ import pytest
 
 from binpack3d import heuristic
 from binpack3d.exact import solve_exact
-from binpack3d.geometry import ORIENTATIONS, BinSpec, CaseSpec, Instance
+from binpack3d.geometry import (
+    DEFAULT_TOL,
+    ORIENTATIONS,
+    BinSpec,
+    CaseSpec,
+    Instance,
+    effective_dims,
+)
 from binpack3d.heuristic import candidate_anchors, solve_heuristic
 from binpack3d.instance_io import load_bundled, write_packing
 from binpack3d.metrics import BoundInconsistencyWarning, gap_vs_bound
@@ -191,6 +198,105 @@ class TestRemovalSafe:
         for i, (x, z) in enumerate([(0.0, 0.0), (2.0, 0.0), (1.0, 2.0)]):
             state.commit(i, heuristic._Spot(0.0, z, 0.0, x, 0, 1, (2.0, 2.0, 2.0)))
         assert [state.removal_safe(i) for i in range(3)] == safe
+
+
+def _tower_state():
+    """Case 1 stands on case 0 at threshold 0.8; case 2 stands free."""
+    inst = Instance("tower", (CaseSpec(0, 2, 2, 2, quantity=3),),
+                    (BinSpec(0, 10, 10, 10),))
+    state = heuristic._WorkState(inst, 0.8)
+    for i, (x, z) in enumerate([(0.0, 0.0), (0.0, 2.0), (4.0, 0.0)]):
+        state.commit(i, heuristic._Spot(0.0, z, 0.0, x, 0, 1, (2.0, 2.0, 2.0)))
+    return state
+
+
+def _bench01_construction(threshold):
+    cfg = quick_cfg(deterministic=True, support_threshold=threshold)
+    state = heuristic._construct(load_bundled(1), cfg, ORIENTATIONS, threshold, 0,
+                                 random.Random(0), heuristic._Budget(cfg))
+    assert state is not None
+    return state
+
+
+def _bin_rows(state):
+    """Each bin's (case, x, y, z) rows as the bin states hold them; they
+    must equal the ones ``state.place`` lists."""
+    held = sorted((bs.index, *it[:4]) for bs in state.bins for it in bs.items)
+    assert held == sorted((j, i, x, y, z) for i, (j, x, y, z, _) in state.place.items())
+    return held
+
+
+class TestEvictAndMove:
+    def test_evict_is_all_or_nothing(self):
+        state = _tower_state()
+        pack, obj = state.packing(), state.objective()
+        assert heuristic._evict(state, (2, 0)) is None
+        assert state.packing() == pack
+        assert state.objective() == obj
+        assert len(_bin_rows(state)) == 3
+
+    def test_evict_then_undo_restores(self):
+        state = _tower_state()
+        pack = state.packing()
+        taken = heuristic._evict(state, (1, 0))
+        assert [record[0] for record in taken] == [1, 0] and list(state.place) == [2]
+        heuristic._undo(state, (), taken)
+        assert state.packing() == pack
+
+    @pytest.mark.parametrize("threshold", [None, 0.8])
+    def test_rejected_move_leaves_packing_unchanged(self, threshold):
+        state = _bench01_construction(threshold)
+        m = state.inst.num_cases
+        obj = state.objective()
+        rejected = 0
+        for i in range(m):
+            for cases in ((i,), (i, (i + 1) % m)):
+                pack, rows = state.packing(), _bin_rows(state)
+                improved, new_obj = heuristic._move(state, obj, ORIENTATIONS, cases)
+                if improved:
+                    assert new_obj < obj and new_obj == state.objective()
+                    obj = new_obj
+                else:
+                    rejected += 1
+                    assert new_obj == obj and state.packing() == pack
+                    assert _bin_rows(state) == rows
+        assert rejected > 0
+        assert validate(state.inst, state.packing(), support=threshold).feasible
+
+    @pytest.mark.parametrize("threshold", [None, 0.8])
+    def test_reorient_matches_brute_force(self, threshold):
+        state = _bench01_construction(threshold)
+        checked = 0
+        for i in range(state.inst.num_cases):
+            if not state.removal_safe(i):
+                continue
+            j, x, y, _, k = state.place[i]
+            others = tuple(k2 for k2 in ORIENTATIONS if k2 != k)
+            record = state.remove(i)
+            bs = state.bins[j]
+            brute = None
+            for k2 in others:
+                a, b, c = effective_dims(state.inst.cases[i], k2)
+                if x + a > bs.x1 + DEFAULT_TOL or y + b > bs.width + DEFAULT_TOL:
+                    continue
+                z, fit = state._settle(bs, bs.arrays(), np.array([x]), np.array([y]),
+                                       a, b, c)
+                if not fit[0]:
+                    continue
+                state.commit(i, heuristic._Spot(0.0, float(z[0]), y, x, j, k2, (a, b, c)))
+                obj = state.objective()
+                state.remove(i)
+                if brute is None or obj < brute[0]:
+                    brute = (obj, k2, float(z[0]))
+            spot = state.best_spot(i, others, at=(j, x, y))
+            state.restore(record)
+            if brute is None:
+                assert spot is None
+            else:
+                assert (spot.orientation, spot.z, spot.x, spot.y, spot.bin_index) == (
+                    brute[1], brute[2], x, y, j)
+                checked += 1
+        assert checked > 0
 
 
 class TestConfig:

@@ -382,6 +382,25 @@ class TestImport:
         with pytest.raises(SolutionImportError, match=r"x\[0\]"):
             import_solution(model, values)
 
+    def test_solver_noise_clamped_and_reported(self):
+        model = build_model(load_bundled(1))
+        pack = solve_heuristic(model.instance, SolverConfig(
+            time_limit=1.0, seed=7, deterministic=True, neighborhood={})).packing
+        values = packing_to_assignment(model, pack)
+        origin = next(p.case_index for p in pack.placements if p.x == 0.0)
+        values[f"x[{origin}]"] = -9.8e-12
+        rebuilt, report = import_solution(model, values)
+        assert report.clamped == (f"x[{origin}]",)
+        assert rebuilt == pack
+
+    @pytest.mark.parametrize("value", [-1e-3, float("nan"), float("inf")])
+    def test_bad_coordinate_named(self, value):
+        model = self.one_case_model()
+        values = {"u[0,0]": 1.0, "x[0]": 0.0, "y[0]": value, "z[0]": 0.0}
+        values.update({f"r[0,{k}]": 1.0 if k == 1 else 0.0 for k in range(1, 7)})
+        with pytest.raises(SolutionImportError, match=r"y\[0\]"):
+            import_solution(model, values)
+
     def test_oracle_cross_check(self):
         inst = Instance(
             "cross",
