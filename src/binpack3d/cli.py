@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 
 from .exact import solve_exact
-from .geometry import DEFAULT_TOL, ORIENTATIONS, UPRIGHT_ORIENTATIONS, Instance
+from .geometry import DEFAULT_TOL, Instance, orientation_set
 from .heuristic import solve_heuristic
 from .instance_io import (
     bundled_instance_names,
@@ -138,7 +139,6 @@ def _cmd_solve(args) -> int:
         support_threshold=args.support_threshold,
         restarts=args.restarts, orientations=args.orientations,
         deterministic=args.deterministic)
-    threshold = cfg.effective_support(inst)
     if args.solver == "exact":
         result = solve_exact(inst, cfg)
         trace = []
@@ -153,7 +153,7 @@ def _cmd_solve(args) -> int:
         sys.stdout.write(report.to_json())
         return EXIT_INFEASIBLE
 
-    audit = validate(inst, result.packing, support=threshold)
+    audit = validate(inst, result.packing, support=cfg.support_threshold)
     report = RunReport(inst.name, solver_id, args.time_limit,
                        feasible=audit.feasible, objective=result.objective,
                        utilization=audit.utilization)
@@ -174,7 +174,7 @@ def _cmd_export(args) -> int:
         if ext not in ("lp", "mps"):
             raise _CliError(f"cannot infer format from {args.out!r}; pass --format")
         fmt = ext
-    allowed = ORIENTATIONS if args.orientations == 6 else UPRIGHT_ORIENTATIONS
+    allowed = orientation_set(args.orientations)
     threshold = (args.support_threshold if args.support_threshold is not None
                  else inst.support_threshold)
     model = build_model(
@@ -192,9 +192,7 @@ def _cmd_export(args) -> int:
 def _cmd_validate(args) -> int:
     inst = load_instance_arg(args.instance)
     pack = _load_packing_file(args.packing, inst)
-    threshold = (args.support_threshold if args.support_threshold is not None
-                 else inst.support_threshold)
-    audit = validate(inst, pack, tol=args.tol, support=threshold)
+    audit = validate(inst, pack, tol=args.tol, support=args.support_threshold)
     text = json.dumps(audit.to_dict(), indent=2) + "\n"
     if args.out:
         _atomic_write(args.out, text)
@@ -204,6 +202,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if not (math.isfinite(args.time_limit) and args.time_limit >= 0):
+        raise _CliError("--time-limit must be a finite number >= 0")
+    if args.bound is not None and not math.isfinite(args.bound):
+        raise _CliError("--bound must be a finite number")
     inst = load_instance_arg(args.instance)
     pack = _load_packing_file(args.packing, inst)
     audit = validate(inst, pack, support=inst.support_threshold)

@@ -6,8 +6,10 @@ bin window.  Every bin assignment, orientation combination and grid
 position is enumerated with overlap, boundary and objective-bound pruning,
 so the result is the optimum over that grid.  This is the test oracle;
 continuous-coordinate optimality is the job of external solvers fed with
-the emitted model text.  Overlap and support come from the scalar
-predicates in ``geometry``, which beat its vector kernel at four boxes.
+the emitted model text.  Overlap, support credit and the bin-boundary and
+support verdicts (``overhang``, ``support_deficit``) come from the scalar
+forms in ``geometry``, which beat its vector kernel at four boxes, so a
+packing found here passes the validator's checks by construction.
 """
 
 from __future__ import annotations
@@ -17,16 +19,18 @@ from itertools import combinations, product
 
 from .geometry import (
     DEFAULT_TOL,
-    ORIENTATIONS,
-    UPRIGHT_ORIENTATIONS,
     Instance,
     Packing,
     PlacedBox,
     Placement,
     effective_dims,
     ground_support,
+    orientation_set,
+    overhang,
     penetration_depth,
     support_area,
+    support_deficit,
+    within_tol,
 )
 from .solvers import ExactResult, SolverConfig
 
@@ -57,7 +61,7 @@ def solve_exact(inst: Instance, cfg: SolverConfig | None = None) -> ExactResult:
     if m == 0:
         return ExactResult(Packing(()), 0.0, True)
 
-    allowed = ORIENTATIONS if cfg.orientations == 6 else UPRIGHT_ORIENTATIONS
+    allowed = orientation_set(cfg.orientations)
     threshold = cfg.effective_support(inst)
     cases, bins = inst.cases, inst.bins
     weights = inst.case_weights
@@ -68,13 +72,6 @@ def solve_exact(inst: Instance, cfg: SolverConfig | None = None) -> ExactResult:
         node_budget = int(cfg.time_limit * _NODES_PER_SECOND)
     else:
         deadline = time.monotonic() + cfg.time_limit
-
-    # Type groups for the canonical prefix rule on identical bins.
-    groups = []
-    start = 0
-    for spec in inst.bin_specs:
-        groups.append(range(start, start + spec.quantity))
-        start += spec.quantity
 
     best_obj: float | None = None
     best: list[Placement] | None = None
@@ -90,10 +87,8 @@ def solve_exact(inst: Instance, cfg: SolverConfig | None = None) -> ExactResult:
         dims = [effective_dims(cases[i], k_combo[i]) for i in range(m)]
         for bin_combo in product(range(n), repeat=m):
             used = set(bin_combo)
-            if any(
-                sorted(j for j in grp if j in used) != list(grp)[:sum(j in used for j in grp)]
-                for grp in groups
-            ):
+            if any(j in used and j - 1 not in used
+                   for grp in inst.type_ranges for j in grp[1:]):
                 continue  # identical bins must be used in index order
             bins_h = sum(bins[j].height for j in used)
             static_lb = bins_h + sum(w * d[2] for w, d in zip(weights, dims))
@@ -110,12 +105,10 @@ def solve_exact(inst: Instance, cfg: SolverConfig | None = None) -> ExactResult:
                 x0, x1 = inst.bin_window(j)
                 peers = [dims[i2] for i2 in range(m)
                          if i2 != i and bin_combo[i2] == j]
-                xs = [x0 + v for v in _subset_sums(tuple(p[0] for p in peers))
-                      if x0 + v + dims[i][0] <= x1 + DEFAULT_TOL]
-                ys = [v for v in _subset_sums(tuple(p[1] for p in peers))
-                      if v + dims[i][1] <= bins[j].width + DEFAULT_TOL]
-                zs = [v for v in _subset_sums(tuple(p[2] for p in peers))
-                      if v + dims[i][2] <= bins[j].height + DEFAULT_TOL]
+                limits = ((x0, x1), (0.0, bins[j].width), (0.0, bins[j].height))
+                xs, ys, zs = ([lo + v for v in _subset_sums(tuple(p[ax] for p in peers))
+                               if within_tol(overhang(lo + v, dims[i][ax], hi))]
+                              for ax, (lo, hi) in enumerate(limits))
                 if not xs or not ys or not zs:
                     feasible_combo = False
                     break
@@ -184,6 +177,6 @@ def _stable(placed, bin_combo, threshold) -> bool:
         credit = ground_support(box) + sum(
             support_area(other, box) for i2, other in enumerate(placed)
             if i2 != i and bin_combo[i2] == bin_combo[i])
-        if credit < threshold * box.footprint - DEFAULT_TOL:
+        if not within_tol(support_deficit(threshold, box.dx, box.dy, credit)):
             return False
     return True

@@ -8,7 +8,8 @@ effective dimensions after orientation.
 
 Everything in this module is a pure function on immutable values.  It is
 the one place that decides when boxes overlap, where a footprint comes to
-rest and how much support a base gets, at the one tolerance ``DEFAULT_TOL``:
+rest, how much support a base gets, and whether a box stays in its bin and is
+supported (``overhang``, ``support_deficit``), at one tolerance ``DEFAULT_TOL``:
 in scalar form over ``PlacedBox`` values, and as a vector kernel over
 ``(k, 6)`` box arrays with rows ``[x, y, z, dx, dy, dz]`` that repeats the
 scalar arithmetic (``rest_heights`` excepted, see there).
@@ -16,8 +17,10 @@ scalar arithmetic (``rest_heights`` excepted, see there).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,6 +43,18 @@ _AXIS_SOURCE = {
 }
 
 
+def _check_spec(spec, what: str) -> None:
+    """Validate a case or bin spec and store its dimensions as floats."""
+    if spec.length <= 0 or spec.width <= 0 or spec.height <= 0:
+        raise ValueError(f"{what}: dimensions must be positive")
+    if spec.quantity < 1:
+        raise ValueError(f"{what}: quantity must be >= 1")
+    for attr in ("length", "width", "height"):
+        object.__setattr__(spec, attr, float(getattr(spec, attr)))
+    if not math.isfinite(spec.volume):
+        raise ValueError(f"{what}: volume must be a finite number")
+
+
 @dataclass(frozen=True)
 class CaseSpec:
     """One row of a case catalogue: dimensions plus how many units exist."""
@@ -51,12 +66,7 @@ class CaseSpec:
     quantity: int = 1
 
     def __post_init__(self) -> None:
-        if self.length <= 0 or self.width <= 0 or self.height <= 0:
-            raise ValueError(f"case {self.id}: dimensions must be positive")
-        if self.quantity < 1:
-            raise ValueError(f"case {self.id}: quantity must be >= 1")
-        for attr in ("length", "width", "height"):
-            object.__setattr__(self, attr, float(getattr(self, attr)))
+        _check_spec(self, f"case {self.id}")
 
     @property
     def volume(self) -> float:
@@ -78,12 +88,7 @@ class BinSpec:
     quantity: int = 1
 
     def __post_init__(self) -> None:
-        if self.length <= 0 or self.width <= 0 or self.height <= 0:
-            raise ValueError(f"bin type {self.type_id}: dimensions must be positive")
-        if self.quantity < 1:
-            raise ValueError(f"bin type {self.type_id}: quantity must be >= 1")
-        for attr in ("length", "width", "height"):
-            object.__setattr__(self, attr, float(getattr(self, attr)))
+        _check_spec(self, f"bin type {self.type_id}")
 
     @property
     def volume(self) -> float:
@@ -159,11 +164,16 @@ class Instance:
     @cached_property
     def bins(self) -> tuple[Bin, ...]:
         """Bins expanded one entry per unit, grouped by type in order."""
-        out = []
-        for spec in self.bin_specs:
-            for _ in range(spec.quantity):
-                out.append(Bin(len(out), spec.type_id, spec.length, spec.width, spec.height))
-        return tuple(out)
+        return tuple(Bin(j, spec.type_id, spec.length, spec.width, spec.height)
+                     for spec, group in zip(self.bin_specs, self.type_ranges)
+                     for j in group)
+
+    @cached_property
+    def type_ranges(self) -> tuple[range, ...]:
+        """Bin indices of each bin type.  The model and the exact oracle use a
+        type's identical bins in index order, as a prefix of its range."""
+        ends = accumulate(spec.quantity for spec in self.bin_specs)
+        return tuple(range(end - spec.quantity, end) for spec, end in zip(self.bin_specs, ends))
 
     @property
     def num_cases(self) -> int:
@@ -304,16 +314,15 @@ def effective_dims(case, orientation: int) -> tuple[float, float, float]:
     return dims[ix], dims[iy], dims[iz]
 
 
+def orientation_set(count: int) -> tuple[int, ...]:
+    """All six orientations, or with ``count`` 2 the upright ones."""
+    return ORIENTATIONS if count == 6 else UPRIGHT_ORIENTATIONS
+
+
 def footprint_area(case, orientation: int) -> float:
     """Area x' * y' that ``case`` projects onto the bin floor."""
     dx, dy, _ = effective_dims(case, orientation)
     return dx * dy
-
-
-def max_footprint_area(case) -> float:
-    """Largest floor projection over all orientations."""
-    l, w, h = case.length, case.width, case.height
-    return max(l * w, l * h, w * h)
 
 
 def interval_overlap(a_start: float, a_len: float, b_start: float, b_len: float) -> float:
@@ -345,6 +354,21 @@ def support_area(lower: PlacedBox, upper: PlacedBox, tol: float = DEFAULT_TOL) -
 def ground_support(box: PlacedBox, tol: float = DEFAULT_TOL) -> float:
     """Footprint credited to the bin floor when the box rests on it."""
     return box.footprint if box.z <= tol else 0.0
+
+
+def overhang(lo, ext, limit):
+    """How far ``[lo, lo + ext]`` reaches past ``limit``; scalars or arrays."""
+    return lo + ext - limit
+
+
+def support_deficit(threshold: float, a, b, credit):
+    """How far ``credit`` falls short of ``threshold`` of an ``a x b`` base."""
+    return threshold * (a * b) - credit
+
+
+def within_tol(amount, tol: float = DEFAULT_TOL):
+    """Passes an ``overhang`` or a ``support_deficit`` of at most ``tol``."""
+    return amount <= tol
 
 
 def penetration_depth(a: PlacedBox, b: PlacedBox) -> float:

@@ -6,8 +6,8 @@ allowed orientations.  Anchors are corner points of placed cases plus the
 bin-floor origin; the z coordinate always comes from dropping the case
 onto the highest surface below its footprint, which keeps placements
 overlap-free by construction.  A dense anchor grid is tried before giving
-up on a case.  Resting heights, support credit and bounds come from the
-vector kernel in ``geometry`` at ``DEFAULT_TOL``, the validator's tolerance.
+up on a case.  Resting heights, support credit and the boundary and support
+verdicts come from ``geometry``, the rules the validator judges by.
 
 Improvement applies strict-descent moves until the budget runs out.  Each
 move is one evict/re-place step (``_move``): take cases out while their
@@ -29,15 +29,17 @@ import numpy as np
 
 from .geometry import (
     DEFAULT_TOL,
-    ORIENTATIONS,
-    UPRIGHT_ORIENTATIONS,
     Instance,
     Packing,
     Placement,
     effective_dims,
+    orientation_set,
+    overhang,
     rest_heights,
     support_credit,
+    support_deficit,
     support_pairs,
+    within_tol,
 )
 from .solvers import (
     DETERMINISTIC_STEPS_PER_SECOND,
@@ -208,8 +210,8 @@ class _WorkState:
                 anchors = bs.anchors(dense or len(bs.items) <= 8)
             for k in allowed:
                 a, b, c = effective_dims(case, k)
-                if (a > bs.x1 - bs.x0 + DEFAULT_TOL or b > bs.width + DEFAULT_TOL
-                        or c > bs.height + DEFAULT_TOL):
+                if not within_tol(max(overhang(bs.x0, a, bs.x1), overhang(0.0, b, bs.width),
+                                      overhang(0.0, c, bs.height))):
                     continue
                 spot = self._scan(bs, anchors, a, b, c, g_cur, opening,
                                   self.weight[case_index])
@@ -230,7 +232,7 @@ class _WorkState:
         for start in range(0, len(anchors), _ANCHOR_CHUNK):
             xs = anchors[start:start + _ANCHOR_CHUNK, 0]
             ys = anchors[start:start + _ANCHOR_CHUNK, 1]
-            ok = (xs + a <= bs.x1 + DEFAULT_TOL) & (ys + b <= bs.width + DEFAULT_TOL)
+            ok = within_tol(overhang(xs, a, bs.x1)) & within_tol(overhang(ys, b, bs.width))
             xs, ys = xs[ok], ys[ok]
             z, fit = self._settle(bs, arr, xs, ys, a, b, c)
             if not fit.any():
@@ -247,10 +249,11 @@ class _WorkState:
         """Resting heights of ``a x b x c`` boxes dropped at ``(xs, ys)``, and
         whether each stays below the bin's top with enough support."""
         z = rest_heights(arr, xs, ys, a, b)
-        fit = z + c <= bs.height + DEFAULT_TOL
+        fit = within_tol(overhang(z, c, bs.height))
         if self.threshold is not None:
             base, _, area = support_pairs(arr, xs, ys, z, a, b)
-            fit &= support_credit(z, a, b, base, area) >= self.threshold * a * b - DEFAULT_TOL
+            credit = support_credit(z, a, b, base, area)
+            fit &= within_tol(support_deficit(self.threshold, a, b, credit))
         return z, fit
 
     def removal_safe(self, case_index: int) -> bool:
@@ -267,7 +270,7 @@ class _WorkState:
         arr = bs.arrays()
         z, dx, dy = arr[:, 2], arr[:, 3], arr[:, 4]
         credit = support_credit(z, dx, dy, base[keep], area[keep])
-        return bool((credit >= self.threshold * dx * dy - DEFAULT_TOL)[resting].all())
+        return bool(within_tol(support_deficit(self.threshold, dx, dy, credit))[resting].all())
 
 
 def _case_order(inst: Instance, restart: int, rng: random.Random) -> list[int]:
@@ -320,7 +323,7 @@ def solve_heuristic(inst: Instance, cfg: SolverConfig | None = None) -> Heuristi
     cfg = cfg or SolverConfig()
     if inst.num_cases == 0:
         return HeuristicResult(Packing(()), 0.0, [], 0)
-    allowed = ORIENTATIONS if cfg.orientations == 6 else UPRIGHT_ORIENTATIONS
+    allowed = orientation_set(cfg.orientations)
     threshold = cfg.effective_support(inst)
     budget = _Budget(cfg)
 

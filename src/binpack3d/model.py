@@ -45,9 +45,9 @@ from .geometry import (
     Packing,
     Placement,
     check_packing,
+    effective_dims,
     footprint_area,
     interval_overlap,
-    max_footprint_area,
     placed_box,
     separating_relations,
 )
@@ -56,14 +56,6 @@ BINARY = "binary"
 CONTINUOUS = "continuous"
 
 INTEGRALITY_TOL = 1e-5
-
-# Coefficient rows of the effective-dimension defining equalities: for
-# orientation k, (x', y', z') picks these physical dims (0=l, 1=w, 2=h).
-_EFF_ROWS = {
-    "xp": {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2},
-    "yp": {1: 1, 2: 2, 3: 0, 4: 2, 5: 0, 6: 1},
-    "zp": {1: 2, 2: 1, 3: 2, 4: 0, 5: 1, 6: 0},
-}
 
 
 class SolutionImportError(ValueError):
@@ -333,7 +325,7 @@ def build_model(inst: Instance, *, support: float | None = None,
 
     ordered_pairs = [(i, i2) for i in range(m) for i2 in range(m) if i2 != i]
     if support is not None:
-        max_fp = [max_footprint_area(c) for c in cases]
+        max_fp = [max(footprint_area(c, k) for k in ORIENTATIONS) for c in cases]
         pair_cap = {(i, i2): min(max_fp[i], max_fp[i2]) for i, i2 in ordered_pairs}
         ov_cap = {(i, i2): min(max_dim[i], max_dim[i2]) for i, i2 in ordered_pairs}
         s = {p: reg.add(f"s[{p[0]},{p[1]}]", CONTINUOUS, 0, pair_cap[p])
@@ -355,7 +347,7 @@ def build_model(inst: Instance, *, support: float | None = None,
         weight = inst.case_weights[i]
         obj.append((z[i], weight))
         for kpos, k in enumerate(ORIENTATIONS):
-            obj.append((r[i][kpos], weight * case.dims[_EFF_ROWS["zp"][k]]))
+            obj.append((r[i][kpos], weight * effective_dims(case, k)[2]))
     for j in range(n):
         obj.append((g[j], 1.0))
     for j in range(n):
@@ -367,11 +359,11 @@ def build_model(inst: Instance, *, support: float | None = None,
     for i in range(m):
         add(f"orient_pick[{i}]", "=", 1.0, [(v, 1.0) for v in r[i]])
     for i, case in enumerate(cases):
-        for label, var in (("xp", xp[i]), ("yp", yp[i]), ("zp", zp[i])):
+        for axis, var in enumerate((xp[i], yp[i], zp[i])):
             terms = [(var, 1.0)]
             for kpos, k in enumerate(ORIENTATIONS):
-                terms.append((r[i][kpos], -case.dims[_EFF_ROWS[label][k]]))
-            add(f"eff_{label[0]}[{i}]", "=", 0.0, terms)
+                terms.append((r[i][kpos], -effective_dims(case, k)[axis]))
+            add(f"eff_{'xyz'[axis]}[{i}]", "=", 0.0, terms)
 
     # --- assignment ------------------------------------------------------
     for i in range(m):
@@ -380,10 +372,10 @@ def build_model(inst: Instance, *, support: float | None = None,
         for j in range(n):
             add(f"assign_use[{i},{j}]", "<=", 0.0,
                 [(u[i][j], 1.0), (e[j], -1.0)])
-    for j in range(n - 1):
-        if bins[j].type_id == bins[j + 1].type_id:
-            add(f"bin_order[{j}]", "<=", 0.0,
-                [(e[j + 1], 1.0), (e[j], -1.0)])
+    for group in inst.type_ranges:
+        for j in group[1:]:
+            add(f"bin_order[{j - 1}]", "<=", 0.0,
+                [(e[j], 1.0), (e[j - 1], -1.0)])
 
     # --- pairwise non-overlap --------------------------------------------
     # Relation q separates the pair along one axis: 0/3 along x, 1/4 along
@@ -524,12 +516,11 @@ def build_model(inst: Instance, *, support: float | None = None,
             add(f"ground_cap[{i}]", "<=", 0.0,
                 [(sg[i], 1.0), (fg[i], -max_fp[i])])
 
-    type_sizes = tuple(spec.quantity for spec in inst.bin_specs)
     assert model.num_variables == expected_variable_count(
         m, n, support=support is not None, mode=mode,
         mccormick_pieces=mccormick_pieces)
     assert model.num_constraints == expected_constraint_count(
-        m, n, type_sizes, support=support is not None, mode=mode,
+        m, n, tuple(map(len, inst.type_ranges)), support=support is not None, mode=mode,
         mccormick_pieces=mccormick_pieces)
     return model
 
@@ -553,18 +544,12 @@ def packing_to_assignment(model: Model, pack: Packing,
     placements = pack.placements
     boxes = [placed_box(inst.cases[p.case_index], p) for p in placements]
 
-    used = [False] * n
-    for p in placements:
-        used[p.bin_index] = True
+    used = {p.bin_index for p in placements}
     # Open bins as a prefix within each type group so in-order rows hold.
-    start = 0
-    for spec in inst.bin_specs:
-        group = range(start, start + spec.quantity)
-        last_used = max((j for j in group if used[j]), default=None)
-        if last_used is not None:
-            for j in range(start, last_used + 1):
-                values[f"e[{j}]"] = 1.0
-        start += spec.quantity
+    for group in inst.type_ranges:
+        last_used = max((j for j in group if j in used), default=group.start - 1)
+        for j in range(group.start, last_used + 1):
+            values[f"e[{j}]"] = 1.0
 
     tops = [0.0] * n
     for p, box in zip(placements, boxes):
@@ -684,7 +669,8 @@ def import_solution(model: Model, values: dict[str, float]) -> tuple[Packing, Im
 
     Requires every x/y/z, r and u variable; bin and orientation come from
     the largest u and r values.  Binary values off {0, 1} by more than the
-    integrality tolerance are reported but do not abort the import.  A
+    integrality tolerance are reported but do not abort the import; a u or
+    r value that is not finite raises ``SolutionImportError``.  A
     coordinate in [-DEFAULT_TOL, 0) is clamped to 0.0 and reported; one
     below that, or not finite, raises ``SolutionImportError``.
     """
@@ -711,6 +697,8 @@ def import_solution(model: Model, values: dict[str, float]) -> tuple[Packing, Im
 
     def binary_val(name: str) -> float:
         val = need(name)
+        if not math.isfinite(val):
+            raise SolutionImportError(f"{name} = {val!r} is not a finite value")
         if min(abs(val), abs(val - 1.0)) > INTEGRALITY_TOL:
             suspicious.append(name)
         return val

@@ -2,7 +2,8 @@
 
 The validator works on coordinates directly, with no model involved, and
 returns a verdict per constraint family rather than raising: infeasibility
-is a result, not an error.  Families:
+is a result, not an error.  Families (each measured and judged by the rules
+in ``geometry`` that the solvers place cases by):
 
     overlap      two cases in the same bin intersect as open boxes
     boundary     a case leaves its bin's window in x, y or z
@@ -24,10 +25,13 @@ from .geometry import (
     box_array,
     check_packing,
     objective_value,
+    overhang,
     penetration_matrix,
     placed_box,
     support_credit,
+    support_deficit,
     support_pairs,
+    within_tol,
 )
 from .metrics import bin_utilizations
 
@@ -93,26 +97,22 @@ def validate(inst: Instance, pack: Packing, tol: float = DEFAULT_TOL,
     threshold = support if support is not None else inst.support_threshold
     violations: list[Violation] = []
 
-    boxes = {}
-    for p in pack.placements:
-        boxes[p.case_index] = placed_box(inst.cases[p.case_index], p)
+    boxes = {p.case_index: placed_box(inst.cases[p.case_index], p)
+             for p in pack.placements}
 
     # Boundary: each case within its bin's window along all three axes.
+    # Bin gap: the x interval must not strictly contain an internal seam.
     for p in pack.placements:
         box = boxes[p.case_index]
         start, end = inst.bin_window(p.bin_index)
         bn = inst.bins[p.bin_index]
-        spill = max(start - box.x, box.x + box.dx - end,
-                    box.y + box.dy - bn.width, box.top - bn.height)
-        if spill > tol:
+        spill = max(overhang(start, 0.0, box.x), overhang(box.x, box.dx, end),
+                    overhang(box.y, box.dy, bn.width), overhang(box.z, box.dz, bn.height))
+        if not within_tol(spill, tol):
             violations.append(Violation("boundary", (p.case_index,), spill))
-
-    # Bin gap: the x interval must not strictly contain an internal seam.
-    for p in pack.placements:
-        box = boxes[p.case_index]
         for seam in inst.cum_lengths[:-1]:
-            if box.x < seam - tol and box.x + box.dx > seam + tol:
-                depth = min(seam - box.x, box.x + box.dx - seam)
+            depth = min(overhang(seam, 0.0, box.x), overhang(box.x, box.dx, seam))
+            if not within_tol(depth, tol):
                 violations.append(Violation("bin_gap", (p.case_index,), depth))
 
     # Overlap (same-bin pairs disjoint as open boxes) and support (credited
@@ -133,11 +133,11 @@ def validate(inst: Instance, pack: Packing, tol: float = DEFAULT_TOL,
         base, box, area = support_pairs(arr, x, y, z, dx, dy, tol)
         others = base != box
         credits = support_credit(z, dx, dy, base[others], area[others], tol)
-        for i, credit in zip(members, credits.tolist()):
+        deficits = support_deficit(threshold, dx, dy, credits)
+        for i, credit, deficit in zip(members, credits.tolist(), deficits.tolist()):
             footprint = boxes[i].footprint
             coverage[i] = credit / footprint if footprint > 0 else 1.0
-            deficit = threshold * footprint - credit
-            if deficit > tol:
+            if not within_tol(deficit, tol):
                 violations.append(Violation("support", (i,), deficit))
 
     violations.sort(key=lambda v: (_FAMILY_ORDER[v.family], v.cases))

@@ -220,7 +220,12 @@ class TestUsageErrors:
         ["validate", "--packing", "PACKING", "--support-threshold", "-0.5"],
         ["validate", "--packing", "PACKING", "--tol", "nan"],
         ["validate", "--packing", "PACKING", "--tol", "inf"],
-        ["validate", "--packing", "PACKING", "--tol", "-1"]])
+        ["validate", "--packing", "PACKING", "--tol", "-1"],
+        ["report", "--packing", "PACKING", "--time-limit", "nan"],
+        ["report", "--packing", "PACKING", "--time-limit", "inf"],
+        ["report", "--packing", "PACKING", "--time-limit", "-1"],
+        ["report", "--packing", "PACKING", "--bound", "nan"],
+        ["report", "--packing", "PACKING", "--bound", "inf"]])
     def test_out_of_range_flags_rejected(self, tmp_path, capsys, bad_packing_file,
                                          argv):
         argv = [str(bad_packing_file) if a == "PACKING" else a for a in argv]
@@ -230,6 +235,24 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("binpack3d: error:")
         assert err.strip().count("\n") == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "export"])
+    def test_volume_overflow_is_a_usage_error(self, tmp_path, capsys, command):
+        # two cases of 1e120^3 in a 3e120^3 bin: every volume overflows
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "name": "huge",
+            "cases": [{"id": 0, "quantity": 2, "length": 1e120, "width": 1e120,
+                       "height": 1e120}],
+            "bins": [{"type_id": 0, "quantity": 1, "length": 3e120, "width": 3e120,
+                      "height": 3e120}]}))
+        out = tmp_path / "out.lp"
+        code, stdout, err = run_cli([command, "--instance", str(path), "--out", str(out)],
+                                    capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("binpack3d: error:") and "volume" in err
+        assert err.strip().count("\n") == 0 and "Traceback" not in err
         assert not out.exists()
 
     def test_envelope_overflow_is_a_usage_error(self, tmp_path, capsys):

@@ -98,6 +98,14 @@ class TestParseInstance:
         with pytest.raises(ParseError, match="must be a finite number"):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("where", ["cases", "bins"])
+    def test_volume_overflow_rejected(self, where):
+        # every dimension is finite, but their product is not
+        doc = sample_doc()
+        doc[where][0].update(length=1e120, width=1e120, height=1e120)
+        with pytest.raises(ParseError, match=rf"{where}\[0\]: .*volume must be a finite"):
+            parse_instance(json.dumps(doc))
+
     def test_instance_round_trip(self):
         inst = parse_instance(json.dumps(sample_doc(support_threshold=0.5)))
         again = parse_instance(write_instance(inst))

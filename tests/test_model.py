@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -399,6 +400,16 @@ class TestImport:
         values = {"u[0,0]": 1.0, "x[0]": 0.0, "y[0]": value, "z[0]": 0.0}
         values.update({f"r[0,{k}]": 1.0 if k == 1 else 0.0 for k in range(1, 7)})
         with pytest.raises(SolutionImportError, match=r"y\[0\]"):
+            import_solution(model, values)
+
+    @pytest.mark.parametrize("name", ["u[0,0]", "r[0,1]", "r[0,4]"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_binary_named(self, name, value):
+        model = self.one_case_model()
+        values = {"u[0,0]": 1.0, "x[0]": 0.0, "y[0]": 0.0, "z[0]": 0.0}
+        values.update({f"r[0,{k}]": 1.0 if k == 1 else 0.0 for k in range(1, 7)})
+        values[name] = value
+        with pytest.raises(SolutionImportError, match=re.escape(name)):
             import_solution(model, values)
 
     def test_oracle_cross_check(self):

@@ -1,8 +1,10 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
+from binpack3d import exact, heuristic
 from binpack3d.geometry import (
     BinSpec,
     CaseSpec,
@@ -13,6 +15,7 @@ from binpack3d.geometry import (
     separating_relations,
 )
 from binpack3d.model import build_model, check_assignment, packing_to_assignment
+from binpack3d.solvers import SolverConfig
 from binpack3d.validate import validate
 
 from conftest import make_instance, random_packing, stacked_packing
@@ -176,3 +179,53 @@ class TestOracleAgreement:
             if report.feasible:
                 for cov in report.support_coverage.values():
                     assert cov <= 1.0 + 1e-6
+
+
+class TestSolverAgreement:
+    """The solvers decide bin boundaries and support by the validator's rules,
+    so they agree with it also within one rounding of the tolerance."""
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("extra", [0.0, 1e-6])
+    def test_solved_packings_validate_at_the_bin_edge(self, axis, extra):
+        # a side of 1/7 + 1e-6 in a bin side of 1/7 overhangs by 1.000000000001e-06
+        side = 1 / 7
+        case, bin_dims = [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]
+        case[axis], bin_dims[axis] = side + extra, side
+        inst = Instance("edge", (CaseSpec(0, *case),), (BinSpec(0, *bin_dims),))
+        cfg = SolverConfig(orientations=2, time_limit=1.0, deterministic=True)
+        for solve in (heuristic.solve_heuristic, exact.solve_exact):
+            pack = solve(inst, cfg).packing
+            assert pack is not None or extra
+            assert pack is None or validate(inst, pack).feasible
+
+    @pytest.mark.parametrize("credit", [0.7, 0.7 - 1e-6])
+    def test_support_verdicts_agree(self, credit):
+        # case 2 (1 x 1) rests on case 0 with credit 1 - x against 0.7; a
+        # credit of 0.7 - 1e-6 leaves a deficit of 1.0000000000287557e-06
+        x = 1 - credit
+        inst = Instance("ledge", (CaseSpec(0, 1, 1, 1, quantity=3),),
+                        (BinSpec(0, 4, 4, 4),))
+        spots = {0: (0.0, 0.0, 0.0), 1: (2.5, 2.5, 0.0), 2: (x, 0.0, 1.0)}
+        pack = Packing(tuple(Placement(i, 0, *xyz, 1) for i, xyz in spots.items()))
+        verdict = validate(inst, pack, support=0.7).feasible
+
+        state = heuristic._WorkState(inst, 0.7)
+        for i in (0, 1):
+            state.commit(i, heuristic._Spot(0.0, 0.0, spots[i][1], spots[i][0], 0, 1,
+                                            (1.0, 1.0, 1.0)))
+        bs = state.bins[0]
+        z, fit = state._settle(bs, bs.arrays(), np.array([x]), np.array([0.0]),
+                               1.0, 1.0, 1.0)
+        assert z.tolist() == [1.0] and bool(fit[0]) == verdict
+
+        # with case 1 as a second support under case 2, removing it leaves
+        # case 2 with the same credit
+        state.remove(1)
+        state.commit(1, heuristic._Spot(0.0, 0.0, 0.0, 1.0, 0, 1, (1.0, 1.0, 1.0)))
+        state.commit(2, heuristic._Spot(0.0, 1.0, 0.0, x, 0, 1, (1.0, 1.0, 1.0)))
+        assert state.removal_safe(1) == verdict
+
+        boxes = [PlacedBox(*spots[i], 1.0, 1.0, 1.0) for i in (0, 2)]
+        assert exact._stable(boxes, (0, 0), 0.7) == verdict
+        assert verdict == (credit == 0.7)
