@@ -208,7 +208,7 @@ def _cmd_report(args) -> int:
         raise _CliError("--bound must be a finite number")
     inst = load_instance_arg(args.instance)
     pack = _load_packing_file(args.packing, inst)
-    audit = validate(inst, pack, support=inst.support_threshold)
+    audit = validate(inst, pack)
     gap = None
     if args.bound is not None:
         gap = gap_vs_bound(audit.objective, args.bound)
@@ -220,7 +220,7 @@ def _cmd_report(args) -> int:
         _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return EXIT_OK if audit.feasible else EXIT_INFEASIBLE
 
 
 def _cmd_render(args) -> int:

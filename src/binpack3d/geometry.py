@@ -444,7 +444,8 @@ def support_pairs(boxes: np.ndarray, xs, ys, zs, a, b,
     ``a x b`` base at ``(xs, ys, zs)`` that touches a box's top within
     ``tol``, ordered by base then box, with ``area = support_area(box,
     base)``.  ``a`` and ``b`` are scalars or arrays, one value per base."""
-    base, box = (np.abs(zs[:, None] - (boxes[:, 2] + boxes[:, 5])) <= tol).nonzero()
+    gap = zs[:, None] - (boxes[:, 2] + boxes[:, 5])
+    base, box = (np.abs(gap, out=gap) <= tol).nonzero()
     if isinstance(a, np.ndarray):
         a, b = a[base], b[base]
     lower = boxes[box]
@@ -473,9 +474,16 @@ def rest_heights(boxes: np.ndarray, xs, ys, a, b,
     one comparison per box and anchor, where ``interval_overlap > tol``
     takes a subtraction and a comparison, and this loop is most of the
     heuristic's time.  For extents over ``tol`` the two differ only when an
-    overlap lies within one rounding of ``tol``.
+    overlap lies within one rounding of ``tol``.  With the boxes ordered
+    highest top first, the first overlapped box per anchor is the one the
+    footprint rests on.
     """
-    x, y, dx, dy = boxes[:, 0], boxes[:, 1], boxes[:, 3], boxes[:, 4]
+    if not len(boxes):
+        return np.zeros(len(xs))
+    tops = boxes[:, 2] + boxes[:, 5]
+    order = np.argsort(-tops)
+    x, y, dx, dy = boxes[order][:, [0, 1, 3, 4]].T
     over = ((x < (xs + a - tol)[:, None]) & (xs[:, None] < x + dx - tol)
             & (y < (ys + b - tol)[:, None]) & (ys[:, None] < y + dy - tol))
-    return np.where(over, boxes[:, 2] + boxes[:, 5], 0.0).max(axis=1, initial=0.0)
+    first = over.argmax(axis=1)
+    return np.where(over[np.arange(len(xs)), first], tops[order[first]], 0.0)

@@ -6,8 +6,12 @@ allowed orientations.  Anchors are corner points of placed cases plus the
 bin-floor origin; the z coordinate always comes from dropping the case
 onto the highest surface below its footprint, which keeps placements
 overlap-free by construction.  A dense anchor grid is tried before giving
-up on a case.  Resting heights, support credit and the boundary and support
-verdicts come from ``geometry``, the rules the validator judges by.
+up on a case.  One placement search settles each bin once: the in-bin
+anchors of every allowed orientation go through ``rest_heights`` and the
+support check as one batch of rows with per-row dimensions, and each
+orientation's best row is then picked by (score, z, y, x) as if it had been
+scanned alone.  Resting heights, support credit and the boundary and
+support verdicts come from ``geometry``, the rules the validator judges by.
 
 Improvement applies strict-descent moves until the budget runs out.  Each
 move is one evict/re-place step (``_move``): take cases out while their
@@ -50,33 +54,44 @@ from .solvers import (
 
 _ANCHOR_CHUNK = 4096
 _STALL_FACTOR = 60
+_MOVES = ("reinsert", "swap", "reorient")
+
+
+def _new_stats() -> dict[str, int]:
+    """Zeroed run counters, the keys of ``HeuristicResult.stats``."""
+    keys = ["best_spot_calls", "rows_settled", "restarts_failed",
+            "repairs_attempted", "repairs_undone"]
+    keys += [f"{move}_{what}" for move in _MOVES for what in ("tried", "accepted")]
+    return dict.fromkeys(keys, 0)
 
 
 class _BinState:
-    """Mutable working set of one bin's placed boxes."""
+    """Mutable working set of one bin's placed boxes: the item records and,
+    row for row, their boxes as a ``(k, 6)`` array.  The top, the support
+    pairs and the anchors are cached until the next change."""
 
     def __init__(self, inst: Instance, j: int):
         self.index = j
         self.x0, self.x1 = inst.bin_window(j)
         self.width = inst.bins[j].width
         self.height = inst.bins[j].height
-        self.reset([])
-
-    def reset(self, items: list[tuple]) -> None:
         # rows: (case_index, x, y, z, dx, dy, dz)
-        self.items = items
-        self._cache = self._pairs = None
+        self.items: list[tuple] = []
+        self._boxes = np.empty((0, 6))
+        self._changed()
+
+    def _changed(self) -> None:
+        self._top = self._pairs = None
+        self._anchors: dict[bool, np.ndarray] = {}
 
     def arrays(self) -> np.ndarray:
         """The items' boxes as a ``(k, 6)`` array, in item order."""
-        if self._cache is None:
-            self._cache = np.array([it[1:] for it in self.items], dtype=float).reshape(-1, 6)
-        return self._cache
+        return self._boxes
 
     def support(self):
         """``support_pairs`` of the items' boxes resting on one another."""
         if self._pairs is None:
-            arr = self.arrays()
+            arr = self._boxes
             self._pairs = support_pairs(arr, *arr[:, :5].T)
         return self._pairs
 
@@ -87,34 +102,38 @@ class _BinState:
     def remove(self, case_index: int) -> tuple:
         for pos, it in enumerate(self.items):
             if it[0] == case_index:
-                item = self.items.pop(pos)
-                self.reset(self.items)
-                return item
+                self._boxes = np.delete(self._boxes, pos, axis=0)
+                self._changed()
+                return self.items.pop(pos)
         raise KeyError(case_index)
 
     def restore(self, item: tuple) -> None:
         self.items.append(item)
-        self.reset(self.items)
+        self._boxes = np.vstack((self._boxes, item[1:]))
+        self._changed()
 
     def top(self) -> float:
-        return max((it[3] + it[6] for it in self.items), default=0.0)
+        if self._top is None:
+            self._top = float((self._boxes[:, 2] + self._boxes[:, 5]).max(initial=0.0))
+        return self._top
 
     def anchors(self, dense: bool = False) -> np.ndarray:
-        """Candidate (x, y) anchors: the bin-floor origin plus placed-case
-        corners, or with ``dense`` every pair of corner coordinates."""
-        if dense:
-            xs = {self.x0}
-            ys = {0.0}
-            for _, px, py, _, dx, dy, _ in self.items:
-                xs.update((px, px + dx))
-                ys.update((py, py + dy))
-            pairs = [(x, y) for x in sorted(xs) for y in sorted(ys)]
-        else:
-            pairs = {(self.x0, 0.0)}
-            for _, px, py, _, dx, dy, _ in self.items:
-                pairs.update(((px + dx, py), (px, py + dy), (px, py)))
-            pairs = sorted(pairs)
-        return np.array(pairs, dtype=float).reshape(-1, 2)
+        """Candidate (x, y) anchors, sorted by x then y: the bin-floor origin
+        plus placed-case corners, or with ``dense`` every pair of corner
+        coordinates."""
+        if dense not in self._anchors:
+            x, y, _, dx, dy, _ = self._boxes.T
+            if dense:
+                xs = np.unique(np.concatenate(([self.x0], x, x + dx)))
+                ys = np.unique(np.concatenate(([0.0], y, y + dy)))
+                pts = np.column_stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs))))
+            else:
+                # complex keys sort by real part, then imaginary: by x, then y
+                keys = np.unique(np.concatenate((
+                    [complex(self.x0, 0.0)], x + dx + 1j * y, x + 1j * (y + dy), x + 1j * y)))
+                pts = np.column_stack((keys.real, keys.imag))
+            self._anchors[dense] = pts
+        return self._anchors[dense]
 
 
 def candidate_anchors(inst: Instance, pack: Packing, bin_index: int) -> tuple[CandidatePoint, ...]:
@@ -148,17 +167,21 @@ class _Spot:
 class _WorkState:
     """A full tentative packing under construction/improvement."""
 
-    def __init__(self, inst: Instance, threshold: float | None):
+    def __init__(self, inst: Instance, threshold: float | None,
+                 stats: dict[str, int] | None = None):
         self.inst = inst
         self.threshold = threshold
         self.bins = [_BinState(inst, j) for j in range(inst.num_bins)]
         self.place: dict[int, tuple[int, float, float, float, int]] = {}
+        # each placed case's top z + dz, in the same insertion order as place
+        self.tops: dict[int, float] = {}
         self.weight = inst.case_weights
+        self.stats = _new_stats() if stats is None else stats
 
     def objective(self) -> float:
         total = 0.0
-        for i, (j, _, _, z, k) in self.place.items():
-            total += self.weight[i] * (z + effective_dims(self.inst.cases[i], k)[2])
+        for i, top in self.tops.items():
+            total += self.weight[i] * top
         for bs in self.bins:
             if bs.items:
                 total += bs.top() + self.inst.bins[bs.index].height
@@ -168,16 +191,19 @@ class _WorkState:
         dx, dy, dz = spot.dims
         self.bins[spot.bin_index].add(case_index, spot.x, spot.y, spot.z, dx, dy, dz)
         self.place[case_index] = (spot.bin_index, spot.x, spot.y, spot.z, spot.orientation)
+        self.tops[case_index] = spot.z + dz
 
     def remove(self, case_index: int) -> tuple:
         """Take a case out; ``restore`` appends the returned record back."""
         row = self.place.pop(case_index)
+        self.tops.pop(case_index)
         return case_index, row, self.bins[row[0]].remove(case_index)
 
     def restore(self, record: tuple) -> None:
         case_index, row, item = record
         self.bins[row[0]].restore(item)
         self.place[case_index] = row
+        self.tops[case_index] = item[3] + item[6]
 
     def packing(self) -> Packing:
         return Packing(tuple(
@@ -196,58 +222,72 @@ class _WorkState:
         it to escape the pure-greedy orientation choice.  ``at=(bin, x, y)``
         limits the search to that one bin and anchor.
         """
+        self.stats["best_spot_calls"] += 1
         case = self.inst.cases[case_index]
+        dims = {k: effective_dims(case, k) for k in allowed}
         best: _Spot | None = None
         best_key = None
         for bs in self.bins if at is None else (self.bins[at[0]],):
             opening = 0.0 if bs.items else self.inst.bins[bs.index].height
-            g_cur = bs.top()
             if at is not None:
                 anchors = np.array([at[1:]], dtype=float)
             else:
                 # the full anchor grid is small enough to use outright when
                 # few boxes are placed, and it finds tucked spots corners miss
                 anchors = bs.anchors(dense or len(bs.items) <= 8)
-            for k in allowed:
-                a, b, c = effective_dims(case, k)
-                if not within_tol(max(overhang(bs.x0, a, bs.x1), overhang(0.0, b, bs.width),
-                                      overhang(0.0, c, bs.height))):
-                    continue
-                spot = self._scan(bs, anchors, a, b, c, g_cur, opening,
-                                  self.weight[case_index])
+            fits = [k for k in allowed
+                    if within_tol(max(overhang(bs.x0, dims[k][0], bs.x1),
+                                      overhang(0.0, dims[k][1], bs.width),
+                                      overhang(0.0, dims[k][2], bs.height)))]
+            spots = self._scan(bs, anchors, [dims[k] for k in fits], bs.top(), opening,
+                               self.weight[case_index])
+            for k, spot in zip(fits, spots):
                 if spot is not None:
                     score, z, y, x = spot
                     scale = noise[k] if noise else 1.0
-                    cand = _Spot(score, z, y, x, bs.index, k, (a, b, c))
                     key = (score * scale, z, y, x, bs.index, k)
                     if best_key is None or key < best_key:
-                        best, best_key = cand, key
+                        best, best_key = _Spot(score, z, y, x, bs.index, k, dims[k]), key
         return best
 
-    def _scan(self, bs: _BinState, anchors: np.ndarray, a: float, b: float,
-              c: float, g_cur: float, opening: float, weight: float):
-        """Best (score, z, y, x) over an anchor array for fixed dims."""
+    def _scan(self, bs: _BinState, anchors: np.ndarray, dims: list[tuple],
+              g_cur: float, opening: float, weight: float) -> list:
+        """Best (score, z, y, x) over an anchor array for each ``(a, b, c)``
+        in ``dims``, or None where no anchor fits.  The in-bin anchors of all
+        dims are settled together, ``_ANCHOR_CHUNK`` rows at a time."""
+        if not dims:
+            return []
+        xs, ys = anchors[:, 0], anchors[:, 1]
+        rows = [(within_tol(overhang(xs, a, bs.x1))
+                 & within_tol(overhang(ys, b, bs.width))).nonzero()[0] for a, b, _ in dims]
+        group = np.repeat(np.arange(len(dims)), [len(r) for r in rows])
+        rows = np.concatenate(rows)
+        xs, ys, abc = xs[rows], ys[rows], np.array(dims)[group]
+        self.stats["rows_settled"] += len(rows)
         arr = bs.arrays()
-        best = None
-        for start in range(0, len(anchors), _ANCHOR_CHUNK):
-            xs = anchors[start:start + _ANCHOR_CHUNK, 0]
-            ys = anchors[start:start + _ANCHOR_CHUNK, 1]
-            ok = within_tol(overhang(xs, a, bs.x1)) & within_tol(overhang(ys, b, bs.width))
-            xs, ys = xs[ok], ys[ok]
-            z, fit = self._settle(bs, arr, xs, ys, a, b, c)
+        best = [None] * len(dims)
+        for start in range(0, len(rows), _ANCHOR_CHUNK):
+            part = slice(start, start + _ANCHOR_CHUNK)
+            x, y, g = xs[part], ys[part], group[part]
+            a, b, c = abc[part].T
+            z, fit = self._settle(bs, arr, x, y, a, b, c)
             if not fit.any():
                 continue
-            xs, ys, z = xs[fit], ys[fit], z[fit]
+            x, y, g, z, c = x[fit], y[fit], g[fit], z[fit], c[fit]
             score = weight * (z + c) + np.maximum(0.0, z + c - g_cur) + opening
-            pick = np.lexsort((xs, ys, z, score))[0]
-            cand = (float(score[pick]), float(z[pick]), float(ys[pick]), float(xs[pick]))
-            if best is None or cand < best:
-                best = cand
+            # each group's first row in (score, z, y, x) order
+            order = np.lexsort((x, y, z, score, g))
+            firsts = order[np.flatnonzero(np.diff(g[order], prepend=-1))]
+            for p in firsts.tolist():
+                cand = (float(score[p]), float(z[p]), float(y[p]), float(x[p]))
+                if best[g[p]] is None or cand < best[g[p]]:
+                    best[g[p]] = cand
         return best
 
     def _settle(self, bs: _BinState, arr: np.ndarray, xs, ys, a, b, c):
         """Resting heights of ``a x b x c`` boxes dropped at ``(xs, ys)``, and
-        whether each stays below the bin's top with enough support."""
+        whether each stays below the bin's top with enough support.  ``a``,
+        ``b`` and ``c`` are scalars or one value per anchor."""
         z = rest_heights(arr, xs, ys, a, b)
         fit = within_tol(overhang(z, c, bs.height))
         if self.threshold is not None:
@@ -285,9 +325,11 @@ def _case_order(inst: Instance, restart: int, rng: random.Random) -> list[int]:
 
 
 class _Budget:
-    """Step budget (deterministic) or wall-clock deadline."""
+    """Step budget (deterministic) or wall-clock deadline, and the run's
+    counters."""
 
     def __init__(self, cfg: SolverConfig):
+        self.stats = _new_stats()
         self.deterministic = cfg.deterministic
         self.steps_total = cfg.step_budget()
         self.steps = 0
@@ -322,7 +364,7 @@ def solve_heuristic(inst: Instance, cfg: SolverConfig | None = None) -> Heuristi
     """
     cfg = cfg or SolverConfig()
     if inst.num_cases == 0:
-        return HeuristicResult(Packing(()), 0.0, [], 0)
+        return HeuristicResult(Packing(()), 0.0, [], 0, _new_stats())
     allowed = orientation_set(cfg.orientations)
     threshold = cfg.effective_support(inst)
     budget = _Budget(cfg)
@@ -342,6 +384,7 @@ def solve_heuristic(inst: Instance, cfg: SolverConfig | None = None) -> Heuristi
         state = _construct(inst, cfg, allowed, threshold, restart, rng, budget)
         restart += 1
         if state is None:
+            budget.stats["restarts_failed"] += 1
             continue
         obj = state.objective()
         if best_obj is None or obj < best_obj - 1e-12:
@@ -359,7 +402,7 @@ def solve_heuristic(inst: Instance, cfg: SolverConfig | None = None) -> Heuristi
         _improve(best_state, best_obj, cfg, allowed, rng, budget, on_improve,
                  stall_limit=_STALL_FACTOR * inst.num_cases)
 
-    return HeuristicResult(best_packing, best_obj, trace, restarts_run)
+    return HeuristicResult(best_packing, best_obj, trace, restarts_run, budget.stats)
 
 
 def _orientation_noise(allowed, restart: int, rng) -> dict[int, float] | None:
@@ -370,7 +413,7 @@ def _orientation_noise(allowed, restart: int, rng) -> dict[int, float] | None:
 
 
 def _construct(inst, cfg, allowed, threshold, restart, rng, budget) -> _WorkState | None:
-    state = _WorkState(inst, threshold)
+    state = _WorkState(inst, threshold, budget.stats)
     order = _case_order(inst, restart, rng)
     for i in order:
         budget.tick()
@@ -408,6 +451,7 @@ def _repair(state: _WorkState, stuck: int, allowed, rng, budget, noise=None,
         taken = _evict(state, sorted(victims))
         if taken is None:
             continue
+        state.stats["repairs_attempted"] += 1
         placed = []
         for v in [stuck] + sorted(victims, key=lambda v: -state.inst.cases[v].volume):
             if not _insert(state, v, allowed, noise):
@@ -415,6 +459,7 @@ def _repair(state: _WorkState, stuck: int, allowed, rng, budget, noise=None,
             placed.append(v)
         if len(placed) == len(victims) + 1:
             return True
+        state.stats["repairs_undone"] += 1
         _undo(state, placed, taken)
     return False
 
@@ -453,6 +498,8 @@ def _improve(state: _WorkState, obj: float, cfg: SolverConfig, allowed, rng,
         budget.tick()
         move = rng.choices(names, weights)[0]
         improved = False
+        if move in _MOVES:
+            state.stats[f"{move}_tried"] += 1
         if move == "reinsert":
             improved, obj = _move(state, obj, allowed, (rng.randrange(m),))
         elif move == "swap" and m >= 2:
@@ -467,6 +514,7 @@ def _improve(state: _WorkState, obj: float, cfg: SolverConfig, allowed, rng,
             others = tuple(k2 for k2 in allowed if k2 != k)
             improved, obj = _move(state, obj, others, (i,), at=(j, x, y))
         if improved:
+            state.stats[f"{move}_accepted"] += 1
             stall = 0
             on_improve(obj, state)
         else:

@@ -84,12 +84,20 @@ class ExactResult:
 
 @dataclass
 class HeuristicResult:
-    """Best packing found plus the trace of best-objective improvements."""
+    """Best packing found plus the trace of best-objective improvements.
+
+    ``stats`` counts the run's work: ``best_spot_calls`` and
+    ``rows_settled`` (anchor rows whose resting height was computed),
+    ``restarts_failed``, ``repairs_attempted`` and ``repairs_undone``, and
+    ``<move>_tried`` and ``<move>_accepted`` for the reinsert, swap and
+    reorient moves.  Under ``deterministic`` they replay exactly.
+    """
 
     packing: Packing | None
     objective: float | None
     trace: list[tuple[float, float]] = field(default_factory=list)
     restarts_run: int = 0
+    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def feasible(self) -> bool:

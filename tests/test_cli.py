@@ -161,6 +161,16 @@ class TestReportRender:
         assert doc["relative_gap"] == pytest.approx(
             (doc["objective"] - 50) / doc["objective"])
 
+    def test_report_on_infeasible_packing_exits_2(self, bad_packing_file, tmp_path, capsys):
+        argv = ["report", "--instance", "bundled:1", "--packing", str(bad_packing_file)]
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 2
+        assert json.loads(stdout)["feasible"] is False
+        out = tmp_path / "report.json"
+        code, stdout, _ = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert json.loads(out.read_text())["feasible"] is False
+
     def test_render_writes_svg(self, tmp_path, capsys):
         inst = load_bundled(1)
         from binpack3d.heuristic import solve_heuristic

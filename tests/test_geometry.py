@@ -326,3 +326,20 @@ class TestVectorKernel:
         credit = support_credit(z, a, b, base, area)
         assert credit.tolist() == [_credit(PlacedBox(x, y, zi, a, b, 1.0), boxes)
                                    for (x, y), zi in zip(anchors, z.tolist())]
+
+    @_property
+    @given(_boxes, st.lists(st.tuples(_coord, _coord, _length, _length), min_size=1, max_size=8))
+    def test_per_anchor_dims_match_scalar_dims(self, boxes, rows):
+        arr = box_array(boxes)
+        xs, ys, a, b = np.array(rows, dtype=float).T
+        z = rest_heights(arr, xs, ys, a, b)
+        base, box, area = support_pairs(arr, xs, ys, z, a, b)
+        credit = support_credit(z, a, b, base, area)
+        for i, (x, y, ai, bi) in enumerate(rows):
+            xi, yi = np.array([x]), np.array([y])
+            zi = rest_heights(arr, xi, yi, ai, bi)
+            assert zi.tolist() == [z[i]]
+            base_i, box_i, area_i = support_pairs(arr, xi, yi, zi, ai, bi)
+            assert box_i.tolist() == box[base == i].tolist()
+            assert area_i.tolist() == area[base == i].tolist()
+            assert support_credit(zi, ai, bi, base_i, area_i).tolist() == [credit[i]]

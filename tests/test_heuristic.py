@@ -1,7 +1,10 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binpack3d import heuristic
 from binpack3d.exact import solve_exact
@@ -122,11 +125,58 @@ class TestDeterminism:
         assert write_packing(inst, a.packing) == write_packing(inst, b.packing)
         assert a.trace == b.trace
 
+    def test_counters_replay(self):
+        inst = load_bundled(2)
+        cfg = dict(time_limit=2.0, seed=7, restarts=2, deterministic=True,
+                   support_threshold=0.8)
+        a = solve_heuristic(inst, SolverConfig(**cfg))
+        b = solve_heuristic(inst, SolverConfig(**cfg))
+        assert a.stats == b.stats
+        assert a.stats["best_spot_calls"] > 0 and a.stats["rows_settled"] > 0
+        assert sum(a.stats[f"{move}_tried"] for move in heuristic._MOVES) > 0
+        assert all(type(v) is int for v in a.stats.values())
+
+    def test_construct_only_counts_no_moves(self):
+        res = solve_heuristic(load_bundled(1), quick_cfg(neighborhood={}, deterministic=True))
+        assert res.stats["best_spot_calls"] > 0
+        assert all(res.stats[f"{move}_{what}"] == 0 for move in heuristic._MOVES
+                   for what in ("tried", "accepted"))
+
     def test_deterministic_budget_ignores_wall_clock(self):
         inst = load_bundled(1)
         cfg = SolverConfig(time_limit=0.5, seed=3, deterministic=True)
         res = solve_heuristic(inst, cfg)
         assert res.feasible  # even a tiny budget still runs construction
+
+
+# (bundled instance, support, run settings) -> sha256 of the result
+PINNED_RESULTS = {
+    (1, None, "improve"): "0b194e7205a160e4079e9cfb2a84096256d043ed07e058a9840ea36f0d1991fc",
+    (1, 0.8, "improve"): "d8ee6c6b4ad594ceaf76c41db49b5cfc5239d7af929696b9539f690b3077edf0",
+    (2, None, "improve"): "cd340728407c48164bd848a55196e23ea108a5f1b0a0c5f57a92ff472eb3dbb8",
+    (2, 0.8, "improve"): "34d9255745113687c12d09fd251859f0677f9e43551d59f86c8418c602ed4f30",
+    (8, None, "construct"): "c2ff84476c78e0408bbcb33b7a7fc6809359dea64374a2302065effe0af61182",
+}
+_PIN_SETTINGS = {"improve": dict(time_limit=5.0, restarts=2),
+                 "construct": dict(time_limit=20.0, restarts=2, neighborhood={})}
+
+
+@pytest.mark.parametrize("number,support,run", sorted(PINNED_RESULTS, key=str))
+def test_bundled_results_pinned(number, support, run):
+    """Deterministic heuristic results on bundled instances are byte-identical
+    to the reference: packing document, objective repr, trace and restart
+    count.
+
+    The digests were recorded at commit 61fa264, before the placement scan
+    settled all orientations of a bin in one pass.  The construct-only
+    bench-08 run needs rescue restarts and the dense anchor grid.
+    """
+    inst = load_bundled(number)
+    cfg = SolverConfig(seed=7, deterministic=True, support_threshold=support,
+                       **_PIN_SETTINGS[run])
+    res = solve_heuristic(inst, cfg)
+    blob = f"{write_packing(inst, res.packing)}\n{res.objective!r}\n{res.trace!r}\n{res.restarts_run}"
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_RESULTS[number, support, run]
 
 
 class TestCandidateAnchors:
@@ -183,8 +233,53 @@ class TestAnchorChunks:
         diagonal = np.array([(x, 4.0 - x) for x in range(5)], dtype=float)
         for chunk in (1, 7, 4096):
             monkeypatch.setattr(heuristic, "_ANCHOR_CHUNK", chunk)
-            spot = state._scan(state.bins[0], diagonal, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-            assert spot == (1.0, 0.0, 0.0, 4.0)  # (score, z, y, x)
+            spots = state._scan(state.bins[0], diagonal, [(1.0, 1.0, 1.0)], 0.0, 0.0, 0.0)
+            assert spots == [(1.0, 0.0, 0.0, 4.0)]  # (score, z, y, x)
+
+
+def _reference_anchors(state, dense):
+    """Anchors as sorted sets of corner tuples."""
+    if dense:
+        xs, ys = {state.x0}, {0.0}
+        for _, px, py, _, dx, dy, _ in state.items:
+            xs.update((px, px + dx))
+            ys.update((py, py + dy))
+        return [(x, y) for x in sorted(xs) for y in sorted(ys)]
+    pairs = {(state.x0, 0.0)}
+    for _, px, py, _, dx, dy, _ in state.items:
+        pairs.update(((px + dx, py), (px, py + dy), (px, py)))
+    return sorted(pairs)
+
+
+_coord = st.integers(0, 40).map(lambda v: v / 4)
+_item = st.tuples(_coord, _coord, st.integers(1, 20).map(lambda v: v / 4),
+                  st.integers(1, 20).map(lambda v: v / 4))
+
+
+class TestBinState:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_item, max_size=12), st.sampled_from([0, 1]), st.data())
+    def test_anchors_and_top_follow_add_and_remove(self, items, j, data):
+        """The cached anchors, box array and top equal their definitions
+        after every change."""
+        inst = Instance("grid", (CaseSpec(0, 1, 1, 1),), (BinSpec(0, 10, 10, 10, quantity=2),))
+        state = heuristic._BinState(inst, j)
+
+        def check():
+            for dense in (False, True):
+                assert state.anchors(dense).tolist() == [
+                    list(p) for p in _reference_anchors(state, dense)]
+            assert state.arrays().tolist() == [list(it[1:]) for it in state.items]
+            assert state.top() == max((it[3] + it[6] for it in state.items), default=0.0)
+
+        for i, (x, y, dx, dy) in enumerate(items):
+            state.add(i, state.x0 + x, y, float(i), dx, dy, 1.0)
+            check()
+        if items:
+            record = state.remove(data.draw(st.integers(0, len(items) - 1)))
+            check()
+            state.restore(record)
+            check()
 
 
 class TestRemovalSafe:
