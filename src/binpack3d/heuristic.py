@@ -21,6 +21,18 @@ otherwise).  Reinsert moves one case, swap two, and reorient one case at its
 own bin and anchor in another orientation.  Construction's repair evicts and
 re-places through the same two primitives.  In deterministic mode the time
 limit maps to a fixed step budget so runs replay identically.
+
+Between two accepted moves the packing does not change, and the placement
+search draws no random numbers, so a move rejected once would be rejected
+again; only the order of float sums can differ, which matters only for a
+value within a few ulps of the 1e-12 acceptance margin or the 1e-6
+tolerance.  ``_improve`` therefore keeps the keys of the moves rejected
+since the last acceptance (``("reinsert", i)``, ``("swap", i1, i2)`` in
+draw order, ``("reorient", i)``) and clears them on every acceptance.  A
+drawn move whose key is in that set is not searched again; it only evicts
+and puts back its cases, which orders the bin lists and the placement
+dicts exactly as the rejected move did, so later float sums, and with them
+the objective and the trace, are the same as when every move is searched.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ from .geometry import (
     within_tol,
 )
 from .solvers import (
+    DEFAULT_NEIGHBORHOOD,
     DETERMINISTIC_STEPS_PER_SECOND,
     CandidatePoint,
     HeuristicResult,
@@ -54,7 +67,7 @@ from .solvers import (
 
 _ANCHOR_CHUNK = 4096
 _STALL_FACTOR = 60
-_MOVES = ("reinsert", "swap", "reorient")
+_MOVES = tuple(DEFAULT_NEIGHBORHOOD)
 
 
 def _new_stats() -> dict[str, int]:
@@ -62,6 +75,7 @@ def _new_stats() -> dict[str, int]:
     keys = ["best_spot_calls", "rows_settled", "restarts_failed",
             "repairs_attempted", "repairs_undone"]
     keys += [f"{move}_{what}" for move in _MOVES for what in ("tried", "accepted")]
+    keys.append("moves_recalled")
     return dict.fromkeys(keys, 0)
 
 
@@ -493,31 +507,46 @@ def _improve(state: _WorkState, obj: float, cfg: SolverConfig, allowed, rng,
     if not names:
         return obj
     weights = [cfg.neighborhood[k] for k in names]
+    rejected: set[tuple] = set()  # keys of moves rejected since the last acceptance
     stall = 0
     while not budget.exhausted() and stall < stall_limit:
         budget.tick()
         move = rng.choices(names, weights)[0]
-        improved = False
-        if move in _MOVES:
-            state.stats[f"{move}_tried"] += 1
+        state.stats[f"{move}_tried"] += 1
+        orients, at = allowed, None
         if move == "reinsert":
-            improved, obj = _move(state, obj, allowed, (rng.randrange(m),))
+            cases = (rng.randrange(m),)
         elif move == "swap" and m >= 2:
             i1 = rng.randrange(m)
             i2 = rng.randrange(m - 1)
             if i2 >= i1:
                 i2 += 1
-            improved, obj = _move(state, obj, allowed, (i1, i2))
+            cases = (i1, i2)
         elif move == "reorient":
             i = rng.randrange(m)
             j, x, y, _, k = state.place[i]
-            others = tuple(k2 for k2 in allowed if k2 != k)
-            improved, obj = _move(state, obj, others, (i,), at=(j, x, y))
+            orients, at = tuple(k2 for k2 in allowed if k2 != k), (j, x, y)
+            cases = (i,)
+        else:  # a swap needs two cases
+            stall += 1
+            continue
+        key = (move, *cases)
+        if key in rejected:
+            state.stats["moves_recalled"] += 1
+            # reorder the bins and dicts as the rejected move's own undo did
+            taken = _evict(state, cases)
+            if taken is not None:
+                _undo(state, (), taken)
+            improved = False
+        else:
+            improved, obj = _move(state, obj, orients, cases, at)
         if improved:
             state.stats[f"{move}_accepted"] += 1
+            rejected.clear()
             stall = 0
             on_improve(obj, state)
         else:
+            rejected.add(key)
             stall += 1
     return obj
 

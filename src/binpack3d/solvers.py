@@ -20,7 +20,9 @@ class SolverConfig:
 
     ``support_threshold`` overrides the instance's threshold when set.
     ``orientations`` is 6 for free rotation or 2 to keep the height axis
-    fixed.  In ``deterministic`` mode the time limit maps to a fixed
+    fixed.  ``neighborhood`` weights the heuristic's improvement moves by
+    the names in ``DEFAULT_NEIGHBORHOOD``; an empty map means construction
+    only.  In ``deterministic`` mode the time limit maps to a fixed
     iteration budget instead of wall-clock time.
     """
 
@@ -43,6 +45,13 @@ class SolverConfig:
             raise ValueError("restarts must be >= 1")
         if self.orientations not in (2, 6):
             raise ValueError("orientations must be 2 or 6")
+        for name, weight in self.neighborhood.items():
+            if name not in DEFAULT_NEIGHBORHOOD:
+                raise ValueError(f"neighborhood: unknown move {name!r} "
+                                 f"(known: {', '.join(DEFAULT_NEIGHBORHOOD)})")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"neighborhood[{name!r}] must be a non-negative "
+                                 f"finite weight, got {weight!r}")
 
     def effective_support(self, inst: Instance) -> float | None:
         if self.support_threshold is not None:
@@ -90,7 +99,10 @@ class HeuristicResult:
     ``rows_settled`` (anchor rows whose resting height was computed),
     ``restarts_failed``, ``repairs_attempted`` and ``repairs_undone``, and
     ``<move>_tried`` and ``<move>_accepted`` for the reinsert, swap and
-    reorient moves.  Under ``deterministic`` they replay exactly.
+    reorient moves, and ``moves_recalled``: tried moves that were not
+    searched because the same move was already rejected on the same packing
+    (the improvement phase remembers its rejected moves until the next
+    acceptance clears them).  Under ``deterministic`` they replay exactly.
     """
 
     packing: Packing | None

@@ -19,7 +19,7 @@ from binpack3d.geometry import (
 from binpack3d.heuristic import candidate_anchors, solve_heuristic
 from binpack3d.instance_io import load_bundled, write_packing
 from binpack3d.metrics import BoundInconsistencyWarning, gap_vs_bound
-from binpack3d.solvers import SolverConfig
+from binpack3d.solvers import DEFAULT_NEIGHBORHOOD, SolverConfig
 from binpack3d.validate import validate
 
 from conftest import make_instance
@@ -134,6 +134,7 @@ class TestDeterminism:
         assert a.stats == b.stats
         assert a.stats["best_spot_calls"] > 0 and a.stats["rows_settled"] > 0
         assert sum(a.stats[f"{move}_tried"] for move in heuristic._MOVES) > 0
+        assert a.stats["moves_recalled"] > 0
         assert all(type(v) is int for v in a.stats.values())
 
     def test_construct_only_counts_no_moves(self):
@@ -141,6 +142,30 @@ class TestDeterminism:
         assert res.stats["best_spot_calls"] > 0
         assert all(res.stats[f"{move}_{what}"] == 0 for move in heuristic._MOVES
                    for what in ("tried", "accepted"))
+        assert res.stats["moves_recalled"] == 0
+
+    def test_no_move_searched_twice_on_one_packing(self, monkeypatch):
+        """Between two accepted moves the packing is unchanged, so a move
+        already rejected on it is recalled instead of searched again."""
+        seen, calls = set(), []
+        real_move = heuristic._move
+
+        def spy(state, obj, allowed, cases, at=None):
+            key = (tuple(cases), at, tuple(allowed))
+            assert key not in seen, f"{key} searched twice on one packing"
+            calls.append(key)
+            improved, new_obj = real_move(state, obj, allowed, cases, at)
+            if improved:
+                seen.clear()
+            else:
+                seen.add(key)
+            return improved, new_obj
+
+        monkeypatch.setattr(heuristic, "_move", spy)
+        res = solve_heuristic(load_bundled(1), quick_cfg(deterministic=True))
+        tried = sum(res.stats[f"{move}_tried"] for move in heuristic._MOVES)
+        assert res.stats["moves_recalled"] > 0
+        assert len(calls) + res.stats["moves_recalled"] == tried
 
     def test_deterministic_budget_ignores_wall_clock(self):
         inst = load_bundled(1)
@@ -156,8 +181,11 @@ PINNED_RESULTS = {
     (2, None, "improve"): "cd340728407c48164bd848a55196e23ea108a5f1b0a0c5f57a92ff472eb3dbb8",
     (2, 0.8, "improve"): "34d9255745113687c12d09fd251859f0677f9e43551d59f86c8418c602ed4f30",
     (8, None, "construct"): "c2ff84476c78e0408bbcb33b7a7fc6809359dea64374a2302065effe0af61182",
+    (6, 0.8, "improve-20s"): "ad809a13c728b49a8ac05199a625f2ca500d973312cf15200d0fc1cc8bbc2c0b",
+    (8, 0.8, "improve-20s"): "861c1e83209e2dbc2a3e7c22bde593e8e1fb587fa82ca1a1187f50437bb52acc",
 }
 _PIN_SETTINGS = {"improve": dict(time_limit=5.0, restarts=2),
+                 "improve-20s": dict(time_limit=20.0, restarts=2),
                  "construct": dict(time_limit=20.0, restarts=2, neighborhood={})}
 
 
@@ -169,7 +197,12 @@ def test_bundled_results_pinned(number, support, run):
 
     The digests were recorded at commit 61fa264, before the placement scan
     settled all orientations of a bin in one pass.  The construct-only
-    bench-08 run needs rescue restarts and the dense anchor grid.
+    bench-08 run needs rescue restarts and the dense anchor grid.  The
+    20 s runs at support 0.8 accept moves (seven on bench-06, three on
+    bench-08), so they pin the clearing of the rejected-move set on each
+    acceptance; bench-08's result changes if the set is never cleared.
+    Their digests were recorded at commit 42010d5, before the improvement
+    phase remembered rejected moves.
     """
     inst = load_bundled(number)
     cfg = SolverConfig(seed=7, deterministic=True, support_threshold=support,
@@ -401,10 +434,22 @@ class TestConfig:
         ({"time_limit": 0.0}, "time_limit"),
         ({"support_threshold": 1.5}, "support_threshold"),
         ({"support_threshold": -1.0}, "support_threshold"),
-        ({"support_threshold": float("nan")}, "support_threshold")])
+        ({"support_threshold": float("nan")}, "support_threshold"),
+        ({"neighborhood": {"reinsert_typo": 1.0}}, "'reinsert_typo'"),
+        ({"neighborhood": {"reinsert": 0.5, "shuffle": 0.5}}, "'shuffle'"),
+        ({"neighborhood": {"swap": -0.1}}, "'swap'"),
+        ({"neighborhood": {"reorient": float("nan")}}, "'reorient'"),
+        ({"neighborhood": {"reinsert": float("inf")}}, "'reinsert'")])
     def test_out_of_range_values_rejected(self, kw, message):
         with pytest.raises(ValueError, match=message):
             SolverConfig(**kw)
+
+    def test_known_neighborhoods_accepted(self):
+        assert SolverConfig().neighborhood == DEFAULT_NEIGHBORHOOD
+        assert SolverConfig(neighborhood={}).neighborhood == {}
+        assert SolverConfig(neighborhood={"swap": 0.0, "reorient": 2}).neighborhood == {
+            "swap": 0.0, "reorient": 2}
+        assert heuristic._MOVES == tuple(DEFAULT_NEIGHBORHOOD)
 
 
 class TestGap:
