@@ -33,6 +33,19 @@ drawn move whose key is in that set is not searched again; it only evicts
 and puts back its cases, which orders the bin lists and the placement
 dicts exactly as the rejected move did, so later float sums, and with them
 the objective and the trace, are the same as when every move is searched.
+
+Each search of a move is bounded by what the move must beat: after the
+evict, a case's spot must score below the room (what the re-placed cases
+may add and still lower the objective, plus a relative rounding slack) less
+the least score (weight times smallest side) of each case still to place,
+and each commit spends its score.  A bounded ``best_spot`` returns the
+unbounded best spot if that scores below the bound and None otherwise, so
+moves are decided as without bounds and one cut short is undone in the same
+order.  Before settling, it drops rows by a floor per anchor: a footprint
+of the rows' least length and width overlaps a subset of the boxes each
+row's footprint does, even under rounding, so it rests no higher, and the
+score only grows with z.  Construction's dense fallback drops only the rows
+whose floor overhangs the bin's top.
 """
 
 from __future__ import annotations
@@ -72,8 +85,8 @@ _MOVES = tuple(DEFAULT_NEIGHBORHOOD)
 
 def _new_stats() -> dict[str, int]:
     """Zeroed run counters, the keys of ``HeuristicResult.stats``."""
-    keys = ["best_spot_calls", "rows_settled", "restarts_failed",
-            "repairs_attempted", "repairs_undone"]
+    keys = ["best_spot_calls", "rows_settled", "rows_pruned", "restarts_failed",
+            "restarts_rescued", "repairs_attempted", "repairs_undone"]
     keys += [f"{move}_{what}" for move in _MOVES for what in ("tried", "accepted")]
     keys.append("moves_recalled")
     return dict.fromkeys(keys, 0)
@@ -229,12 +242,15 @@ class _WorkState:
     def best_spot(self, case_index: int, allowed: tuple[int, ...],
                   dense: bool = False,
                   noise: dict[int, float] | None = None,
-                  at: tuple[int, float, float] | None = None) -> _Spot | None:
+                  at: tuple[int, float, float] | None = None,
+                  bound: float | None = None) -> _Spot | None:
         """Cheapest placement for a case over all bins and orientations.
 
         ``noise`` optionally scales each orientation's score; restarts use
         it to escape the pure-greedy orientation choice.  ``at=(bin, x, y)``
-        limits the search to that one bin and anchor.
+        limits the search to that one bin and anchor.  With a ``bound``, the
+        spot is returned only if its score is below it, else None; anchor
+        rows that cannot score below it are not settled.
         """
         self.stats["best_spot_calls"] += 1
         case = self.inst.cases[case_index]
@@ -254,7 +270,7 @@ class _WorkState:
                                       overhang(0.0, dims[k][1], bs.width),
                                       overhang(0.0, dims[k][2], bs.height)))]
             spots = self._scan(bs, anchors, [dims[k] for k in fits], bs.top(), opening,
-                               self.weight[case_index])
+                               self.weight[case_index], bound)
             for k, spot in zip(fits, spots):
                 if spot is not None:
                     score, z, y, x = spot
@@ -262,23 +278,40 @@ class _WorkState:
                     key = (score * scale, z, y, x, bs.index, k)
                     if best_key is None or key < best_key:
                         best, best_key = _Spot(score, z, y, x, bs.index, k, dims[k]), key
+        if best is not None and bound is not None and best.score >= bound:
+            return None
         return best
 
     def _scan(self, bs: _BinState, anchors: np.ndarray, dims: list[tuple],
-              g_cur: float, opening: float, weight: float) -> list:
+              g_cur: float, opening: float, weight: float,
+              bound: float | None = None) -> list:
         """Best (score, z, y, x) over an anchor array for each ``(a, b, c)``
         in ``dims``, or None where no anchor fits.  The in-bin anchors of all
-        dims are settled together, ``_ANCHOR_CHUNK`` rows at a time."""
+        dims are settled together, ``_ANCHOR_CHUNK`` rows at a time.  With a
+        ``bound``, rows whose floor already scores at least ``bound`` or
+        overhangs the bin's top are dropped first."""
         if not dims:
             return []
+
+        def scores(z, c):
+            return weight * (z + c) + np.maximum(0.0, z + c - g_cur) + opening
+
         xs, ys = anchors[:, 0], anchors[:, 1]
         rows = [(within_tol(overhang(xs, a, bs.x1))
                  & within_tol(overhang(ys, b, bs.width))).nonzero()[0] for a, b, _ in dims]
         group = np.repeat(np.arange(len(dims)), [len(r) for r in rows])
         rows = np.concatenate(rows)
-        xs, ys, abc = xs[rows], ys[rows], np.array(dims)[group]
-        self.stats["rows_settled"] += len(rows)
+        abc = np.array(dims)[group]
         arr = bs.arrays()
+        if bound is not None and len(rows):
+            # the floor: where a footprint of the least a and b rests, which
+            # no row rests below (scores grow with z)
+            floor, c = rest_heights(arr, xs, ys, *abc[:, :2].min(axis=0))[rows], abc[:, 2]
+            keep = within_tol(overhang(floor, c, bs.height)) & (scores(floor, c) < bound)
+            self.stats["rows_pruned"] += len(rows) - int(keep.sum())
+            rows, group, abc = rows[keep], group[keep], abc[keep]
+        xs, ys = xs[rows], ys[rows]
+        self.stats["rows_settled"] += len(rows)
         best = [None] * len(dims)
         for start in range(0, len(rows), _ANCHOR_CHUNK):
             part = slice(start, start + _ANCHOR_CHUNK)
@@ -288,7 +321,7 @@ class _WorkState:
             if not fit.any():
                 continue
             x, y, g, z, c = x[fit], y[fit], g[fit], z[fit], c[fit]
-            score = weight * (z + c) + np.maximum(0.0, z + c - g_cur) + opening
+            score = scores(z, c)
             # each group's first row in (score, z, y, x) order
             order = np.lexsort((x, y, z, score, g))
             firsts = order[np.flatnonzero(np.diff(g[order], prepend=-1))]
@@ -394,6 +427,8 @@ def solve_heuristic(inst: Instance, cfg: SolverConfig | None = None) -> Heuristi
         if restart > 0 and budget.exhausted():
             break
         restarts_run += 1
+        if restart >= cfg.restarts:
+            budget.stats["restarts_rescued"] += 1
         rng = random.Random(f"{cfg.seed}:{restart}")
         state = _construct(inst, cfg, allowed, threshold, restart, rng, budget)
         restart += 1
@@ -441,7 +476,7 @@ def _construct(inst, cfg, allowed, threshold, restart, rng, budget) -> _WorkStat
 def _insert(state: _WorkState, i: int, allowed, noise=None) -> bool:
     spot = state.best_spot(i, allowed, noise=noise)
     if spot is None:
-        spot = state.best_spot(i, allowed, dense=True, noise=noise)
+        spot = state.best_spot(i, allowed, dense=True, noise=noise, bound=float("inf"))
     if spot is None:
         return False
     state.commit(i, spot)
@@ -558,13 +593,18 @@ def _move(state: _WorkState, obj: float, allowed, cases, at=None):
     taken = _evict(state, cases)
     if taken is None:
         return False, obj
+    order = sorted(cases, key=lambda i: -state.inst.cases[i].volume)
+    # the slack covers rounding between summed scores and objective()
+    room = obj - 1e-12 - state.objective() + 1e-9 * max(1.0, abs(obj))
+    least = [state.weight[i] * min(state.inst.cases[i].dims) for i in order]
     placed = []
-    for i in sorted(cases, key=lambda i: -state.inst.cases[i].volume):
-        spot = state.best_spot(i, allowed, at=at)
+    for n, i in enumerate(order):
+        spot = state.best_spot(i, allowed, at=at, bound=room - sum(least[n + 1:]))
         if spot is None:
             break
         state.commit(i, spot)
         placed.append(i)
+        room -= spot.score
     if len(placed) == len(cases):
         new_obj = state.objective()
         if new_obj < obj - 1e-12:

@@ -41,10 +41,16 @@ class SolverConfig:
             raise ValueError("time_limit must be a positive finite number")
         if self.support_threshold is not None and not 0 <= self.support_threshold <= 1:
             raise ValueError("support_threshold must be in [0, 1]")
+        for name in ("restarts", "orientations", "exact_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.orientations not in (2, 6):
             raise ValueError("orientations must be 2 or 6")
+        if self.exact_cap < 0:
+            raise ValueError("exact_cap must be >= 0")
         for name, weight in self.neighborhood.items():
             if name not in DEFAULT_NEIGHBORHOOD:
                 raise ValueError(f"neighborhood: unknown move {name!r} "
@@ -95,14 +101,18 @@ class ExactResult:
 class HeuristicResult:
     """Best packing found plus the trace of best-objective improvements.
 
-    ``stats`` counts the run's work: ``best_spot_calls`` and
-    ``rows_settled`` (anchor rows whose resting height was computed),
-    ``restarts_failed``, ``repairs_attempted`` and ``repairs_undone``, and
-    ``<move>_tried`` and ``<move>_accepted`` for the reinsert, swap and
-    reorient moves, and ``moves_recalled``: tried moves that were not
-    searched because the same move was already rejected on the same packing
-    (the improvement phase remembers its rejected moves until the next
-    acceptance clears them).  Under ``deterministic`` they replay exactly.
+    ``stats`` counts the run's work: ``best_spot_calls``, ``rows_settled``
+    (anchor rows whose resting height was computed) and ``rows_pruned``
+    (anchor rows a bounded search dropped unsettled because their floor
+    could not score below the bound), ``restarts_failed`` and
+    ``restarts_rescued`` (restarts run beyond ``SolverConfig.restarts``
+    because none had packed yet), ``repairs_attempted`` and
+    ``repairs_undone``, and ``<move>_tried`` and ``<move>_accepted`` for
+    the reinsert, swap and reorient moves, and ``moves_recalled``: tried
+    moves that were not searched because the same move was already
+    rejected on the same packing (the improvement phase remembers its
+    rejected moves until the next acceptance clears them).  Under
+    ``deterministic`` they replay exactly.
     """
 
     packing: Packing | None

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import math
 import random
 
 import numpy as np
@@ -52,6 +54,8 @@ class TestConstruction:
         res = solve_heuristic(inst, quick_cfg(time_limit=0.5))
         assert res.packing is None and res.objective is None
         assert not res.feasible
+        assert res.stats["restarts_failed"] == res.restarts_run
+        assert res.stats["restarts_rescued"] == res.restarts_run - 2 > 0
 
     def test_upright_orientations_respected(self):
         inst = Instance("upright", (CaseSpec(0, 4, 3, 2, quantity=3),),
@@ -136,6 +140,10 @@ class TestDeterminism:
         assert sum(a.stats[f"{move}_tried"] for move in heuristic._MOVES) > 0
         assert a.stats["moves_recalled"] > 0
         assert all(type(v) is int for v in a.stats.values())
+        cfg = quick_cfg(deterministic=True)
+        a, b = (solve_heuristic(load_bundled(1), cfg) for _ in range(2))
+        assert a.stats == b.stats
+        assert a.stats["rows_pruned"] > 0 and a.stats["restarts_rescued"] == 0
 
     def test_construct_only_counts_no_moves(self):
         res = solve_heuristic(load_bundled(1), quick_cfg(neighborhood={}, deterministic=True))
@@ -183,6 +191,8 @@ PINNED_RESULTS = {
     (8, None, "construct"): "c2ff84476c78e0408bbcb33b7a7fc6809359dea64374a2302065effe0af61182",
     (6, 0.8, "improve-20s"): "ad809a13c728b49a8ac05199a625f2ca500d973312cf15200d0fc1cc8bbc2c0b",
     (8, 0.8, "improve-20s"): "861c1e83209e2dbc2a3e7c22bde593e8e1fb587fa82ca1a1187f50437bb52acc",
+    (10, None, "improve-20s"): "21fa3e1db4df76030d04bb8eb137c508451de2687091eb47dbda5eaa14fa2bcd",
+    (15, None, "improve-20s"): "abcabcf7c045119f6debf7c6514bcec3a20e37d3128e87a90e6b47a3b97d7efb",
 }
 _PIN_SETTINGS = {"improve": dict(time_limit=5.0, restarts=2),
                  "improve-20s": dict(time_limit=20.0, restarts=2),
@@ -202,7 +212,10 @@ def test_bundled_results_pinned(number, support, run):
     bench-08), so they pin the clearing of the rejected-move set on each
     acceptance; bench-08's result changes if the set is never cleared.
     Their digests were recorded at commit 42010d5, before the improvement
-    phase remembered rejected moves.
+    phase remembered rejected moves.  The 20 s runs of bench-10 and
+    bench-15 without support are where bounded searches prune the most;
+    their digests were recorded at commit 9ca7ebd, before searches were
+    bounded.
     """
     inst = load_bundled(number)
     cfg = SolverConfig(seed=7, deterministic=True, support_threshold=support,
@@ -338,9 +351,9 @@ def _tower_state():
     return state
 
 
-def _bench01_construction(threshold):
+def _construction(threshold, inst=None, restart=0):
     cfg = quick_cfg(deterministic=True, support_threshold=threshold)
-    state = heuristic._construct(load_bundled(1), cfg, ORIENTATIONS, threshold, 0,
+    state = heuristic._construct(inst or load_bundled(1), cfg, ORIENTATIONS, threshold, restart,
                                  random.Random(0), heuristic._Budget(cfg))
     assert state is not None
     return state
@@ -373,7 +386,7 @@ class TestEvictAndMove:
 
     @pytest.mark.parametrize("threshold", [None, 0.8])
     def test_rejected_move_leaves_packing_unchanged(self, threshold):
-        state = _bench01_construction(threshold)
+        state = _construction(threshold)
         m = state.inst.num_cases
         obj = state.objective()
         rejected = 0
@@ -393,7 +406,7 @@ class TestEvictAndMove:
 
     @pytest.mark.parametrize("threshold", [None, 0.8])
     def test_reorient_matches_brute_force(self, threshold):
-        state = _bench01_construction(threshold)
+        state = _construction(threshold)
         checked = 0
         for i in range(state.inst.num_cases):
             if not state.removal_safe(i):
@@ -427,6 +440,127 @@ class TestEvictAndMove:
         assert checked > 0
 
 
+def _try_moves(state, record=None):
+    """Reinsert, swap with the next case and reorient in place each case in
+    turn, as ``_improve`` would; returns the accept/reject decisions."""
+    m = state.inst.num_cases
+    obj = state.objective()
+    decisions = []
+    for i in range(m):
+        j, x, y, _, k = state.place[i]
+        for allowed, cases, at in ((ORIENTATIONS, (i,), None),
+                                   (ORIENTATIONS, (i, (i + 1) % m), None),
+                                   (tuple(k2 for k2 in ORIENTATIONS if k2 != k), (i,), (j, x, y))):
+            if record is not None:
+                record.append(obj)
+            improved, obj = heuristic._move(state, obj, allowed, cases, at)
+            decisions.append(improved)
+    return decisions
+
+
+class TestBoundedSearch:
+    """``best_spot(bound=b)`` returns the unbounded best spot when it scores
+    below ``b`` and None otherwise, and leaves rows unsettled whose floor
+    already cannot score below ``b``."""
+
+    @pytest.mark.parametrize("number", [1, 10])
+    @pytest.mark.parametrize("threshold", [None, 0.8])
+    def test_bound_contract(self, number, threshold, monkeypatch):
+        state = _construction(threshold, load_bundled(number))
+        settled = {"full": 0, "near": 0, "inf": 0}
+        mode = "full"
+        real_rest_heights = heuristic.rest_heights
+
+        def spy(boxes, xs, ys, a, b, *rest):
+            if np.ndim(a):  # one footprint per row, not the floor's one
+                settled[mode] += len(xs)
+            return real_rest_heights(boxes, xs, ys, a, b, *rest)
+
+        monkeypatch.setattr(heuristic, "rest_heights", spy)
+        counted = state.stats["rows_settled"]
+        checked = 0
+        for i in range(state.inst.num_cases):
+            if not state.removal_safe(i):
+                continue
+            j, x, y, _, k = state.place[i]
+            record = state.remove(i)
+            for allowed, at in ((ORIENTATIONS, None),
+                                (tuple(k2 for k2 in ORIENTATIONS if k2 != k), (j, x, y))):
+                mode = "full"
+                full = state.best_spot(i, allowed, at=at)
+                s = math.inf if full is None else full.score
+                for bound in (s - 1e-9, s, s + 1e-9, math.inf):
+                    mode = "near" if bound < math.inf else "inf"
+                    got = state.best_spot(i, allowed, at=at, bound=bound)
+                    assert got == (full if s < bound else None), (i, at, bound)
+                    checked += 1
+            state.restore(record)
+        assert checked > 0
+        # three searches bounded near the best score settle fewer rows than
+        # one unbounded search, and the height-only prune never settles more
+        assert 0 < settled["near"] < settled["full"]
+        assert settled["inf"] <= settled["full"]
+        assert state.stats["rows_settled"] - counted == sum(settled.values())
+        assert state.stats["rows_pruned"] > 0
+
+    def test_footprint_narrower_than_twice_the_tolerance(self):
+        """The floor's footprint is the rows' own narrowest, so a sliver
+        narrower than 2*tol gets a floor no higher than where it rests."""
+        inst = Instance("sliver", (CaseSpec(0, 1, 1, 1), CaseSpec(1, 1e-7, 1, 1)),
+                        (BinSpec(0, 4, 4, 4),))
+        state = heuristic._WorkState(inst, None)
+        # the box starts less than tol right of the origin: a sliver at the
+        # origin misses it, a 2*tol footprint there would not
+        state.commit(0, heuristic._Spot(0.0, 0.0, 0.0, 5e-7, 0, 1, (1.0, 1.0, 1.0)))
+        full = state.best_spot(1, (1,))
+        assert (full.x, full.y, full.z) == (0.0, 0.0, 0.0)
+        assert state.best_spot(1, (1,), bound=full.score + 1e-9) == full
+
+    @pytest.mark.parametrize("threshold", [None, 0.8])
+    def test_bounds_change_no_move_decision_at_large_scale(self, threshold, monkeypatch):
+        """At 1e4 times bench-01's size the 1e-12 acceptance margin is below
+        one ulp of the objective; the relative slack still keeps every
+        decision.  Perturbed constructions (restarts 2 and 3) leave moves
+        to accept."""
+        def scaled(spec):
+            return dataclasses.replace(spec, length=spec.length * 1e4,
+                                       width=spec.width * 1e4, height=spec.height * 1e4)
+
+        inst = load_bundled(1)
+        big = Instance(inst.name, [scaled(c) for c in inst.case_specs],
+                       [scaled(b) for b in inst.bin_specs])
+        bounded = [_construction(threshold, big, restart) for restart in (2, 3)]
+        with_bounds = [_try_moves(state) for state in bounded]
+        real = heuristic._WorkState.best_spot
+        monkeypatch.setattr(heuristic._WorkState, "best_spot",
+                            lambda self, *a, bound=None, **kw: real(self, *a, **kw))
+        unbounded = [_construction(threshold, big, restart) for restart in (2, 3)]
+        assert [_try_moves(state) for state in unbounded] == with_bounds
+        assert [s.packing() for s in bounded] == [s.packing() for s in unbounded]
+        assert [s.objective() for s in bounded] == [s.objective() for s in unbounded]
+        decisions = sum(with_bounds, [])
+        assert True in decisions and False in decisions
+
+    @pytest.mark.parametrize("number", [1, 10])
+    def test_move_runs_to_the_end_only_to_lower_or_tie(self, number, monkeypatch):
+        """Once a swap's first case is placed, its score is spent: the second
+        search may only find spots that keep the total below the objective,
+        up to the rounding slack."""
+        state = _construction(None, load_bundled(number))
+        objs, finished = [], []
+        real_undo = heuristic._undo
+
+        def spy(st, placed, taken):
+            if placed and len(placed) == len(taken):
+                finished.append((objs[-1], st.objective()))
+            real_undo(st, placed, taken)
+
+        monkeypatch.setattr(heuristic, "_undo", spy)
+        _try_moves(state, objs)
+        assert finished
+        assert all(new <= obj + 1e-9 * obj for obj, new in finished)
+
+
 class TestConfig:
     @pytest.mark.parametrize("kw,message", [
         ({"time_limit": float("inf")}, "time_limit"),
@@ -439,7 +573,13 @@ class TestConfig:
         ({"neighborhood": {"reinsert": 0.5, "shuffle": 0.5}}, "'shuffle'"),
         ({"neighborhood": {"swap": -0.1}}, "'swap'"),
         ({"neighborhood": {"reorient": float("nan")}}, "'reorient'"),
-        ({"neighborhood": {"reinsert": float("inf")}}, "'reinsert'")])
+        ({"neighborhood": {"reinsert": float("inf")}}, "'reinsert'"),
+        ({"restarts": 2.5}, "restarts"),
+        ({"restarts": True}, "restarts"),
+        ({"orientations": 6.0}, "orientations"),
+        ({"orientations": False}, "orientations"),
+        ({"exact_cap": -1}, "exact_cap"),
+        ({"exact_cap": 4.0}, "exact_cap")])
     def test_out_of_range_values_rejected(self, kw, message):
         with pytest.raises(ValueError, match=message):
             SolverConfig(**kw)
