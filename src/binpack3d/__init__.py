@@ -2,7 +2,7 @@
 
 Generates the exact mixed-integer model as LP/MPS text, validates
 packings against the geometric and support semantics, solves instances
-natively (exhaustive oracle at tiny scale, constructive + local-search
+natively (exhaustive oracle at tiny scale, constructive multi-start
 heuristic at benchmark scale), and reports utilization and gap metrics.
 """
 
@@ -27,7 +27,7 @@ from .geometry import (
     placed_box,
     support_area,
 )
-from .heuristic import candidate_anchors, solve_heuristic
+from .heuristic import solve_heuristic
 from .instance_io import (
     ParseError,
     bundled_instance_names,
@@ -52,7 +52,7 @@ from .model import (
     packing_to_assignment,
     parse_value_file,
 )
-from .solvers import CandidatePoint, ExactResult, HeuristicResult, SolverConfig
+from .solvers import ExactResult, HeuristicResult, SolverConfig
 from .svg_render import render_svg
 from .validate import AuditReport, Violation, validate
 
@@ -63,7 +63,6 @@ __all__ = [
     "Bin",
     "BinSpec",
     "BoundInconsistencyWarning",
-    "CandidatePoint",
     "Case",
     "CaseSpec",
     "DEFAULT_TOL",
@@ -86,7 +85,6 @@ __all__ = [
     "audit_big_m",
     "build_model",
     "bundled_instance_names",
-    "candidate_anchors",
     "check_assignment",
     "effective_dims",
     "emit_lp",

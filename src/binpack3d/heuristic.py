@@ -1,4 +1,4 @@
-"""Constructive + local-search heuristic for benchmark-scale instances.
+"""Constructive multi-start heuristic for benchmark-scale instances.
 
 Construction inserts cases in volume-descending order (perturbed per
 restart) at the anchor minimizing the incremental objective over all
@@ -6,46 +6,27 @@ allowed orientations.  Anchors are corner points of placed cases plus the
 bin-floor origin; the z coordinate always comes from dropping the case
 onto the highest surface below its footprint, which keeps placements
 overlap-free by construction.  A dense anchor grid is tried before giving
-up on a case.  One placement search settles each bin once: the in-bin
-anchors of every allowed orientation go through ``rest_heights`` and the
-support check as one batch of rows with per-row dimensions, and each
-orientation's best row is then picked by (score, z, y, x) as if it had been
-scanned alone.  Resting heights, support credit and the boundary and
-support verdicts come from ``geometry``, the rules the validator judges by.
+up on a case; that search first drops the rows whose floor overhangs the
+bin's top (a footprint of the rows' least length and width overlaps a
+subset of the boxes each row's footprint does, even under rounding, so no
+row rests below its floor).  One placement search settles each bin once:
+the in-bin anchors of every allowed orientation go through
+``rest_heights`` and the support check as one batch of rows with per-row
+dimensions, and each orientation's best row is then picked by
+(score, z, y, x) as if it had been scanned alone.  Resting heights,
+support credit and the boundary and support verdicts come from
+``geometry``, the rules the validator judges by.  A case that fits nowhere
+is repaired: a few cases are taken out while their dependents stay
+supported (``_evict``), the stuck case goes in first and the evicted ones
+are re-placed largest-first, or the attempt is undone (``_undo``).
 
-Improvement applies strict-descent moves until the budget runs out.  Each
-move is one evict/re-place step (``_move``): take cases out while their
-dependents stay supported (``_evict``), put them back largest-first at their
-best spots, and keep the result only if the objective drops (``_undo``
-otherwise).  Reinsert moves one case, swap two, and reorient one case at its
-own bin and anchor in another orientation.  Construction's repair evicts and
-re-places through the same two primitives.  In deterministic mode the time
-limit maps to a fixed step budget so runs replay identically.
-
-Between two accepted moves the packing does not change, and the placement
-search draws no random numbers, so a move rejected once would be rejected
-again; only the order of float sums can differ, which matters only for a
-value within a few ulps of the 1e-12 acceptance margin or the 1e-6
-tolerance.  ``_improve`` therefore keeps the keys of the moves rejected
-since the last acceptance (``("reinsert", i)``, ``("swap", i1, i2)`` in
-draw order, ``("reorient", i)``) and clears them on every acceptance.  A
-drawn move whose key is in that set is not searched again; it only evicts
-and puts back its cases, which orders the bin lists and the placement
-dicts exactly as the rejected move did, so later float sums, and with them
-the objective and the trace, are the same as when every move is searched.
-
-Each search of a move is bounded by what the move must beat: after the
-evict, a case's spot must score below the room (what the re-placed cases
-may add and still lower the objective, plus a relative rounding slack) less
-the least score (weight times smallest side) of each case still to place,
-and each commit spends its score.  A bounded ``best_spot`` returns the
-unbounded best spot if that scores below the bound and None otherwise, so
-moves are decided as without bounds and one cut short is undone in the same
-order.  Before settling, it drops rows by a floor per anchor: a footprint
-of the rows' least length and width overlaps a subset of the boxes each
-row's footprint does, even under rounding, so it rests no higher, and the
-score only grows with z.  Construction's dense fallback drops only the rows
-whose floor overhangs the bin's top.
+The search is the restart loop: restart r constructs with the insertion
+order and orientation noise drawn from ``random.Random(f"{seed}:{r}")``,
+perturbed harder as r grows.  After the configured restarts, and the
+rescue restarts run while nothing has packed, restarts go on until the
+budget is spent or ``_STALL_RESTARTS`` in a row have not lowered the best
+objective.  In deterministic mode the time limit maps to a fixed step
+budget so runs replay identically.
 """
 
 from __future__ import annotations
@@ -57,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    DEFAULT_TOL,
     Instance,
     Packing,
     Placement,
@@ -70,26 +50,15 @@ from .geometry import (
     support_pairs,
     within_tol,
 )
-from .solvers import (
-    DEFAULT_NEIGHBORHOOD,
-    DETERMINISTIC_STEPS_PER_SECOND,
-    CandidatePoint,
-    HeuristicResult,
-    SolverConfig,
-)
+from .solvers import DETERMINISTIC_STEPS_PER_SECOND, HeuristicResult, SolverConfig
 
 _ANCHOR_CHUNK = 4096
-_STALL_FACTOR = 60
-_MOVES = tuple(DEFAULT_NEIGHBORHOOD)
 
 
 def _new_stats() -> dict[str, int]:
     """Zeroed run counters, the keys of ``HeuristicResult.stats``."""
-    keys = ["best_spot_calls", "rows_settled", "rows_pruned", "restarts_failed",
-            "restarts_rescued", "repairs_attempted", "repairs_undone"]
-    keys += [f"{move}_{what}" for move in _MOVES for what in ("tried", "accepted")]
-    keys.append("moves_recalled")
-    return dict.fromkeys(keys, 0)
+    return dict.fromkeys(("best_spot_calls", "rows_settled", "rows_pruned", "restarts_failed",
+                          "restarts_rescued", "repairs_attempted", "repairs_undone"), 0)
 
 
 class _BinState:
@@ -163,23 +132,6 @@ class _BinState:
         return self._anchors[dense]
 
 
-def candidate_anchors(inst: Instance, pack: Packing, bin_index: int) -> tuple[CandidatePoint, ...]:
-    """Anchor points the constructor would consider for a bin, resolved to
-    the surface under them: where a footprint just wider than the tolerance
-    would rest.  Exposed for inspection; always includes the bin-floor
-    origin."""
-    state = _BinState(inst, bin_index)
-    for p in pack.placements:
-        if p.bin_index == bin_index:
-            dx, dy, dz = effective_dims(inst.cases[p.case_index], p.orientation)
-            state.add(p.case_index, p.x, p.y, p.z, dx, dy, dz)
-    anchors = state.anchors()
-    side = 2 * DEFAULT_TOL
-    zs = rest_heights(state.arrays(), anchors[:, 0], anchors[:, 1], side, side)
-    return tuple(CandidatePoint(bin_index, x, y, z)
-                 for (x, y), z in zip(anchors.tolist(), zs.tolist()))
-
-
 @dataclass
 class _Spot:
     score: float
@@ -192,7 +144,7 @@ class _Spot:
 
 
 class _WorkState:
-    """A full tentative packing under construction/improvement."""
+    """A full tentative packing under construction."""
 
     def __init__(self, inst: Instance, threshold: float | None,
                  stats: dict[str, int] | None = None):
@@ -241,36 +193,30 @@ class _WorkState:
 
     def best_spot(self, case_index: int, allowed: tuple[int, ...],
                   dense: bool = False,
-                  noise: dict[int, float] | None = None,
-                  at: tuple[int, float, float] | None = None,
-                  bound: float | None = None) -> _Spot | None:
+                  noise: dict[int, float] | None = None) -> _Spot | None:
         """Cheapest placement for a case over all bins and orientations.
 
         ``noise`` optionally scales each orientation's score; restarts use
-        it to escape the pure-greedy orientation choice.  ``at=(bin, x, y)``
-        limits the search to that one bin and anchor.  With a ``bound``, the
-        spot is returned only if its score is below it, else None; anchor
-        rows that cannot score below it are not settled.
+        it to escape the pure-greedy orientation choice.  ``dense`` searches
+        every bin's full anchor grid, less the rows whose floor overhangs
+        the bin's top.
         """
         self.stats["best_spot_calls"] += 1
         case = self.inst.cases[case_index]
         dims = {k: effective_dims(case, k) for k in allowed}
         best: _Spot | None = None
         best_key = None
-        for bs in self.bins if at is None else (self.bins[at[0]],):
+        for bs in self.bins:
             opening = 0.0 if bs.items else self.inst.bins[bs.index].height
-            if at is not None:
-                anchors = np.array([at[1:]], dtype=float)
-            else:
-                # the full anchor grid is small enough to use outright when
-                # few boxes are placed, and it finds tucked spots corners miss
-                anchors = bs.anchors(dense or len(bs.items) <= 8)
+            # the full anchor grid is small enough to use outright when few
+            # boxes are placed, and it finds tucked spots corners miss
+            anchors = bs.anchors(dense or len(bs.items) <= 8)
             fits = [k for k in allowed
                     if within_tol(max(overhang(bs.x0, dims[k][0], bs.x1),
                                       overhang(0.0, dims[k][1], bs.width),
                                       overhang(0.0, dims[k][2], bs.height)))]
             spots = self._scan(bs, anchors, [dims[k] for k in fits], bs.top(), opening,
-                               self.weight[case_index], bound)
+                               self.weight[case_index], dense)
             for k, spot in zip(fits, spots):
                 if spot is not None:
                     score, z, y, x = spot
@@ -278,24 +224,18 @@ class _WorkState:
                     key = (score * scale, z, y, x, bs.index, k)
                     if best_key is None or key < best_key:
                         best, best_key = _Spot(score, z, y, x, bs.index, k, dims[k]), key
-        if best is not None and bound is not None and best.score >= bound:
-            return None
         return best
 
     def _scan(self, bs: _BinState, anchors: np.ndarray, dims: list[tuple],
               g_cur: float, opening: float, weight: float,
-              bound: float | None = None) -> list:
+              dense: bool = False) -> list:
         """Best (score, z, y, x) over an anchor array for each ``(a, b, c)``
         in ``dims``, or None where no anchor fits.  The in-bin anchors of all
-        dims are settled together, ``_ANCHOR_CHUNK`` rows at a time.  With a
-        ``bound``, rows whose floor already scores at least ``bound`` or
-        overhangs the bin's top are dropped first."""
+        dims are settled together, ``_ANCHOR_CHUNK`` rows at a time.  With
+        ``dense``, rows whose floor overhangs the bin's top are dropped
+        first."""
         if not dims:
             return []
-
-        def scores(z, c):
-            return weight * (z + c) + np.maximum(0.0, z + c - g_cur) + opening
-
         xs, ys = anchors[:, 0], anchors[:, 1]
         rows = [(within_tol(overhang(xs, a, bs.x1))
                  & within_tol(overhang(ys, b, bs.width))).nonzero()[0] for a, b, _ in dims]
@@ -303,11 +243,11 @@ class _WorkState:
         rows = np.concatenate(rows)
         abc = np.array(dims)[group]
         arr = bs.arrays()
-        if bound is not None and len(rows):
+        if dense and len(rows):
             # the floor: where a footprint of the least a and b rests, which
-            # no row rests below (scores grow with z)
-            floor, c = rest_heights(arr, xs, ys, *abc[:, :2].min(axis=0))[rows], abc[:, 2]
-            keep = within_tol(overhang(floor, c, bs.height)) & (scores(floor, c) < bound)
+            # no row rests below
+            floor = rest_heights(arr, xs, ys, *abc[:, :2].min(axis=0))[rows]
+            keep = within_tol(overhang(floor, abc[:, 2], bs.height))
             self.stats["rows_pruned"] += len(rows) - int(keep.sum())
             rows, group, abc = rows[keep], group[keep], abc[keep]
         xs, ys = xs[rows], ys[rows]
@@ -321,7 +261,7 @@ class _WorkState:
             if not fit.any():
                 continue
             x, y, g, z, c = x[fit], y[fit], g[fit], z[fit], c[fit]
-            score = scores(z, c)
+            score = weight * (z + c) + np.maximum(0.0, z + c - g_cur) + opening
             # each group's first row in (score, z, y, x) order
             order = np.lexsort((x, y, z, score, g))
             firsts = order[np.flatnonzero(np.diff(g[order], prepend=-1))]
@@ -398,6 +338,7 @@ class _Budget:
 
 
 _RESCUE_RESTARTS = 200
+_STALL_RESTARTS = 4
 
 
 def solve_heuristic(inst: Instance, cfg: SolverConfig | None = None) -> HeuristicResult:
@@ -405,9 +346,11 @@ def solve_heuristic(inst: Instance, cfg: SolverConfig | None = None) -> Heuristi
 
     Construction runs once per restart with increasingly perturbed
     insertion orders; while nothing feasible has been found and budget
-    remains, extra rescue restarts keep trying.  The best construction
-    then takes the remaining budget as improvement moves.  Returns an
-    explicit failure (packing None) when no restart places every case.
+    remains, rescue restarts keep trying.  Unless ``cfg.neighborhood``
+    turns the search off, restarts then go on until the budget is spent or
+    ``_STALL_RESTARTS`` in a row have not lowered the best objective.
+    Returns an explicit failure (packing None) when no restart places
+    every case.
     """
     cfg = cfg or SolverConfig()
     if inst.num_cases == 0:
@@ -415,43 +358,33 @@ def solve_heuristic(inst: Instance, cfg: SolverConfig | None = None) -> Heuristi
     allowed = orientation_set(cfg.orientations)
     threshold = cfg.effective_support(inst)
     budget = _Budget(cfg)
+    search = cfg.neighborhood.get("restart", 0.0) > 0
 
-    best_state: _WorkState | None = None
     best_obj: float | None = None
     best_packing: Packing | None = None
     trace: list[tuple[float, float]] = []
-    restarts_run = 0
-
-    restart = 0
-    while restart < cfg.restarts or (best_state is None and restart < _RESCUE_RESTARTS):
+    restart = stall = 0  # stall: restarts since the best objective last dropped
+    while (restart < cfg.restarts
+           or (best_obj is None and restart < _RESCUE_RESTARTS)
+           or (search and best_obj is not None and stall < _STALL_RESTARTS)):
         if restart > 0 and budget.exhausted():
             break
-        restarts_run += 1
-        if restart >= cfg.restarts:
+        if best_obj is None and restart >= cfg.restarts:
             budget.stats["restarts_rescued"] += 1
         rng = random.Random(f"{cfg.seed}:{restart}")
         state = _construct(inst, cfg, allowed, threshold, restart, rng, budget)
         restart += 1
+        stall += 1
         if state is None:
             budget.stats["restarts_failed"] += 1
             continue
         obj = state.objective()
         if best_obj is None or obj < best_obj - 1e-12:
-            best_state, best_obj, best_packing = state, obj, state.packing()
+            best_obj, best_packing = obj, state.packing()
             trace.append((budget.elapsed(), obj))
+            stall = 0
 
-    if best_state is not None and not budget.exhausted():
-        def on_improve(new_obj: float, st: _WorkState) -> None:
-            nonlocal best_obj, best_packing
-            if new_obj < best_obj - 1e-12:
-                best_obj, best_packing = new_obj, st.packing()
-                trace.append((budget.elapsed(), new_obj))
-
-        rng = random.Random(f"{cfg.seed}:improve")
-        _improve(best_state, best_obj, cfg, allowed, rng, budget, on_improve,
-                 stall_limit=_STALL_FACTOR * inst.num_cases)
-
-    return HeuristicResult(best_packing, best_obj, trace, restarts_run, budget.stats)
+    return HeuristicResult(best_packing, best_obj, trace, restart, budget.stats)
 
 
 def _orientation_noise(allowed, restart: int, rng) -> dict[int, float] | None:
@@ -476,7 +409,7 @@ def _construct(inst, cfg, allowed, threshold, restart, rng, budget) -> _WorkStat
 def _insert(state: _WorkState, i: int, allowed, noise=None) -> bool:
     spot = state.best_spot(i, allowed, noise=noise)
     if spot is None:
-        spot = state.best_spot(i, allowed, dense=True, noise=noise, bound=float("inf"))
+        spot = state.best_spot(i, allowed, dense=True, noise=noise)
     if spot is None:
         return False
     state.commit(i, spot)
@@ -533,81 +466,3 @@ def _undo(state: _WorkState, placed, taken) -> None:
         state.remove(i)
     for record in taken:
         state.restore(record)
-
-
-def _improve(state: _WorkState, obj: float, cfg: SolverConfig, allowed, rng,
-             budget, on_improve, stall_limit: int) -> float:
-    m = state.inst.num_cases
-    names = sorted(k for k, w in cfg.neighborhood.items() if w > 0)
-    if not names:
-        return obj
-    weights = [cfg.neighborhood[k] for k in names]
-    rejected: set[tuple] = set()  # keys of moves rejected since the last acceptance
-    stall = 0
-    while not budget.exhausted() and stall < stall_limit:
-        budget.tick()
-        move = rng.choices(names, weights)[0]
-        state.stats[f"{move}_tried"] += 1
-        orients, at = allowed, None
-        if move == "reinsert":
-            cases = (rng.randrange(m),)
-        elif move == "swap" and m >= 2:
-            i1 = rng.randrange(m)
-            i2 = rng.randrange(m - 1)
-            if i2 >= i1:
-                i2 += 1
-            cases = (i1, i2)
-        elif move == "reorient":
-            i = rng.randrange(m)
-            j, x, y, _, k = state.place[i]
-            orients, at = tuple(k2 for k2 in allowed if k2 != k), (j, x, y)
-            cases = (i,)
-        else:  # a swap needs two cases
-            stall += 1
-            continue
-        key = (move, *cases)
-        if key in rejected:
-            state.stats["moves_recalled"] += 1
-            # reorder the bins and dicts as the rejected move's own undo did
-            taken = _evict(state, cases)
-            if taken is not None:
-                _undo(state, (), taken)
-            improved = False
-        else:
-            improved, obj = _move(state, obj, orients, cases, at)
-        if improved:
-            state.stats[f"{move}_accepted"] += 1
-            rejected.clear()
-            stall = 0
-            on_improve(obj, state)
-        else:
-            rejected.add(key)
-            stall += 1
-    return obj
-
-
-def _move(state: _WorkState, obj: float, allowed, cases, at=None):
-    """Evict ``cases``, re-place them largest-first at their best spots
-    (``at`` pins bin and anchor) and keep that only if the objective drops.
-    Returns (improved, objective)."""
-    taken = _evict(state, cases)
-    if taken is None:
-        return False, obj
-    order = sorted(cases, key=lambda i: -state.inst.cases[i].volume)
-    # the slack covers rounding between summed scores and objective()
-    room = obj - 1e-12 - state.objective() + 1e-9 * max(1.0, abs(obj))
-    least = [state.weight[i] * min(state.inst.cases[i].dims) for i in order]
-    placed = []
-    for n, i in enumerate(order):
-        spot = state.best_spot(i, allowed, at=at, bound=room - sum(least[n + 1:]))
-        if spot is None:
-            break
-        state.commit(i, spot)
-        placed.append(i)
-        room -= spot.score
-    if len(placed) == len(cases):
-        new_obj = state.objective()
-        if new_obj < obj - 1e-12:
-            return True, new_obj
-    _undo(state, placed, taken)
-    return False, obj

@@ -624,7 +624,7 @@ def check_assignment(model: Model, values, tol: float = DEFAULT_TOL) -> list[Row
         val = vec[pos]
         if val < var.lb - tol:
             out.append(RowViolation(f"lb:{var.name}", var.lb - val))
-        elif val > var.ub + tol:
+        elif not val <= var.ub + tol:  # a NaN fails this test too
             out.append(RowViolation(f"ub:{var.name}", val - var.ub))
     # Each row's terms are summed in stored order from 0.0 (bincount adds
     # its weights sequentially), the quadratic part separately, then added.
@@ -641,9 +641,10 @@ def check_assignment(model: Model, values, tol: float = DEFAULT_TOL) -> list[Row
                            minlength=len(rows))
     gap = lhs - np.frombuffer(rows.rhs)
     sense = np.frombuffer(rows.senses, dtype=np.uint8)
-    # How far each row is past its sense, in SENSES order "<=", ">=", "=".
+    # How far each row is past its sense, in SENSES order "<=", ">=", "=";
+    # a NaN excess is a violation.
     excess = np.select([sense == 0, sense == 1], [gap, -gap], np.abs(gap))
-    for row in np.flatnonzero(excess > tol).tolist():
+    for row in np.flatnonzero(~(excess <= tol)).tolist():
         out.append(RowViolation(rows.names[row], excess[row].item()))
     return out
 
@@ -717,7 +718,8 @@ def import_solution(model: Model, values: dict[str, float]) -> tuple[Packing, Im
 
 
 def parse_value_file(text: str) -> dict[str, float]:
-    """Parse a solver value file: one ``name value`` pair per line."""
+    """Parse a solver value file: one ``name value`` pair per line, each
+    name once and each value a finite number."""
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -727,9 +729,14 @@ def parse_value_file(text: str) -> dict[str, float]:
         if len(parts) != 2:
             raise ValueError(f"value file line {lineno}: expected 'name value'")
         try:
-            values[parts[0]] = float(parts[1])
+            value = float(parts[1])
         except ValueError:
             raise ValueError(f"value file line {lineno}: bad number {parts[1]!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"value file line {lineno}: non-finite number {parts[1]!r}")
+        if parts[0] in values:
+            raise ValueError(f"value file line {lineno}: {parts[0]!r} given twice")
+        values[parts[0]] = value
     return values
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .geometry import Instance, Packing
 
-DEFAULT_NEIGHBORHOOD = {"reinsert": 0.5, "swap": 0.3, "reorient": 0.2}
+DEFAULT_NEIGHBORHOOD = {"restart": 1.0}
 
 # Deterministic mode converts the time limit into an iteration budget at
 # this fixed rate, so identical configs replay identically on any machine.
@@ -20,10 +20,12 @@ class SolverConfig:
 
     ``support_threshold`` overrides the instance's threshold when set.
     ``orientations`` is 6 for free rotation or 2 to keep the height axis
-    fixed.  ``neighborhood`` weights the heuristic's improvement moves by
-    the names in ``DEFAULT_NEIGHBORHOOD``; an empty map means construction
-    only.  In ``deterministic`` mode the time limit maps to a fixed
-    iteration budget instead of wall-clock time.
+    fixed.  ``restarts`` is how many constructions the heuristic runs
+    before it searches, budget permitting.  ``neighborhood`` switches its search: with a positive
+    ``"restart"`` weight it keeps restarting until the budget is spent or
+    restarts stop lowering the objective; an empty map or a zero weight
+    means construction only.  In ``deterministic`` mode the time limit
+    maps to a fixed iteration budget instead of wall-clock time.
     """
 
     time_limit: float = 60.0
@@ -53,7 +55,7 @@ class SolverConfig:
             raise ValueError("exact_cap must be >= 0")
         for name, weight in self.neighborhood.items():
             if name not in DEFAULT_NEIGHBORHOOD:
-                raise ValueError(f"neighborhood: unknown move {name!r} "
+                raise ValueError(f"neighborhood: unknown search {name!r} "
                                  f"(known: {', '.join(DEFAULT_NEIGHBORHOOD)})")
             if not (math.isfinite(weight) and weight >= 0):
                 raise ValueError(f"neighborhood[{name!r}] must be a non-negative "
@@ -66,16 +68,6 @@ class SolverConfig:
 
     def step_budget(self) -> int:
         return max(1, int(self.time_limit * DETERMINISTIC_STEPS_PER_SECOND))
-
-
-@dataclass(frozen=True)
-class CandidatePoint:
-    """An anchor where a new case may be placed inside a bin."""
-
-    bin_index: int
-    x: float
-    y: float
-    z: float
 
 
 @dataclass
@@ -101,18 +93,14 @@ class ExactResult:
 class HeuristicResult:
     """Best packing found plus the trace of best-objective improvements.
 
-    ``stats`` counts the run's work: ``best_spot_calls``, ``rows_settled``
-    (anchor rows whose resting height was computed) and ``rows_pruned``
-    (anchor rows a bounded search dropped unsettled because their floor
-    could not score below the bound), ``restarts_failed`` and
-    ``restarts_rescued`` (restarts run beyond ``SolverConfig.restarts``
-    because none had packed yet), ``repairs_attempted`` and
-    ``repairs_undone``, and ``<move>_tried`` and ``<move>_accepted`` for
-    the reinsert, swap and reorient moves, and ``moves_recalled``: tried
-    moves that were not searched because the same move was already
-    rejected on the same packing (the improvement phase remembers its
-    rejected moves until the next acceptance clears them).  Under
-    ``deterministic`` they replay exactly.
+    ``restarts_run`` counts constructions.  ``stats`` counts the run's
+    work: ``best_spot_calls``, ``rows_settled`` (anchor rows whose resting
+    height was computed) and ``rows_pruned`` (anchor rows a dense search
+    dropped unsettled because their floor overhangs the bin's top),
+    ``restarts_failed`` and ``restarts_rescued`` (restarts run beyond
+    ``SolverConfig.restarts`` while none had packed yet), and
+    ``repairs_attempted`` and ``repairs_undone``.  Under ``deterministic``
+    they replay exactly.
     """
 
     packing: Packing | None

@@ -274,7 +274,7 @@ def reference_violations(model, values, tol=1e-6):
     for pos, var in enumerate(model.registry):
         if vec[pos] < var.lb - tol:
             out.append(RowViolation(f"lb:{var.name}", var.lb - vec[pos]))
-        elif vec[pos] > var.ub + tol:
+        elif not vec[pos] <= var.ub + tol:
             out.append(RowViolation(f"ub:{var.name}", vec[pos] - var.ub))
     for con in model.constraints:
         lhs = 0.0
@@ -286,11 +286,11 @@ def reference_violations(model, values, tol=1e-6):
                 qsum += coef * vec[a] * vec[b]
             lhs += qsum
         gap = lhs - con.rhs
-        if con.sense == "<=" and gap > tol:
+        if con.sense == "<=" and not gap <= tol:
             out.append(RowViolation(con.name, gap))
-        elif con.sense == ">=" and gap < -tol:
+        elif con.sense == ">=" and not -gap <= tol:
             out.append(RowViolation(con.name, -gap))
-        elif con.sense == "=" and abs(gap) > tol:
+        elif con.sense == "=" and not abs(gap) <= tol:
             out.append(RowViolation(con.name, abs(gap)))
     return out
 
@@ -322,6 +322,37 @@ class TestCheckAgainstRowLoop:
                 assert rows == reference_violations(model, values)
                 violated += bool(rows)
         assert violated >= 6
+
+
+def _named(rows):
+    """Violations as (name, repr of amount): a NaN amount equals no float."""
+    return [(r.name, repr(r.amount)) for r in rows]
+
+
+class TestNonFiniteValues:
+    """A NaN value violates its bound and every row it enters: comparisons
+    with NaN are all False, so each check must fail unless it passes."""
+
+    def test_all_nan_map_violates_everything(self):
+        model = build_model(load_bundled(1), support=0.8)
+        values = {v.name: float("nan") for v in model.registry}
+        rows = check_assignment(model, values)
+        assert [r.name for r in rows] == (
+            [f"ub:{v.name}" for v in model.registry] + list(model.constraints.names))
+        assert _named(rows) == _named(reference_violations(model, values))
+
+    @pytest.mark.parametrize("name", ["x[3]", "z[0]", "u[5,0]"])
+    def test_one_nan_in_a_feasible_map(self, name):
+        model = build_model(load_bundled(1), support=0.8)
+        pack = solve_heuristic(model.instance, SolverConfig(
+            time_limit=1.0, seed=7, deterministic=True, neighborhood={},
+            support_threshold=0.8)).packing
+        values = packing_to_assignment(model, pack)
+        assert not check_assignment(model, values)
+        values[name] = float("nan")
+        rows = check_assignment(model, values)
+        assert rows[0].name == f"ub:{name}" and len(rows) > 1
+        assert _named(rows) == _named(reference_violations(model, values))
 
 
 class TestBigM:
@@ -434,3 +465,12 @@ class TestValueFile:
     def test_bad_line_reported(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_value_file("x[0] 1\nbroken line here\n")
+
+    @pytest.mark.parametrize("number", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_number_rejected(self, number):
+        with pytest.raises(ValueError, match=f"line 2: non-finite number '{number}'"):
+            parse_value_file(f"x[0] 1\nx[1] {number}\n")
+
+    def test_name_given_twice_rejected(self):
+        with pytest.raises(ValueError, match=r"line 3: 'x\[0\]' given twice"):
+            parse_value_file("x[0] 1\n# comment\nx[0] 2\n")
