@@ -5,9 +5,9 @@ the common CPLEX/Gurobi grammar: a quadratic product inside a constraint
 is written as a ``[ ... ]`` block, which restricts quadratic models to LP
 output; MPS output accepts linearized models only.
 
-Both emitters read the model's flat row arrays and build the text in
-chunks of about ``_CHUNK_LINES`` lines, so the per-line strings of the
-whole text never exist at once.
+Both emitters read the model's flat row and variable arrays and build
+the text in chunks of about ``_CHUNK_LINES`` lines, so the per-line
+strings of the whole text never exist at once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from itertools import islice
 
 import numpy as np
 
-from .model import BINARY, SENSES, Model
+from .model import BINARY, KINDS, SENSES, Model
+
+_BINARY = KINDS.index(BINARY)
 
 _CHUNK_LINES = 1 << 16
 
@@ -119,16 +121,16 @@ def emit_lp(model: Model) -> str:
             out.append(f"  {SENSES[rows.senses[row]]} {num[rows.rhs[row]]}")
         text.flush()
     out.append("Bounds")
-    for var in reg:
-        if var.kind == BINARY:
-            if var.ub == 0:
-                out.append(f" {var.name} = 0")
+    for name, kind, lb, ub in zip(names, reg.kinds, reg.lb, reg.ub):
+        if kind == _BINARY:
+            if ub == 0:
+                out.append(f" {name} = 0")
             continue
-        out.append(f" {num[var.lb]} <= {var.name} <= {num[var.ub]}")
+        out.append(f" {num[lb]} <= {name} <= {num[ub]}")
         if len(out) >= _CHUNK_LINES:
             text.flush()
     out.append("Binaries")
-    _wrap(out, [var.name for var in reg if var.kind == BINARY], indent=" ")
+    _wrap(out, [name for name, kind in zip(names, reg.kinds) if kind == _BINARY], indent=" ")
     out.append("End")
     return text.join()
 
@@ -174,15 +176,15 @@ def emit_mps(model: Model) -> str:
 
     out.append("COLUMNS")
     in_integer = False
-    for idx, var in enumerate(reg):
-        is_int = var.kind == BINARY
+    for idx, (name, kind) in enumerate(zip(reg.names, reg.kinds)):
+        is_int = kind == _BINARY
         if is_int and not in_integer:
             out.append("    MARKER M1 'MARKER' 'INTORG'")
             in_integer = True
         elif not is_int and in_integer:
             out.append("    MARKER M2 'MARKER' 'INTEND'")
             in_integer = False
-        head = f"    {var.name} "
+        head = f"    {name} "
         obj_coefs = objective.get(idx, ())
         for coef in obj_coefs:
             out.append(f"{head}obj {num[coef]}")
@@ -203,16 +205,16 @@ def emit_mps(model: Model) -> str:
             if len(out) >= _CHUNK_LINES:
                 text.flush()
     out.append("BOUNDS")
-    for var in reg:
-        if var.kind == BINARY:
-            if var.ub == 0:
-                out.append(f" FX BND {var.name} 0")
+    for name, kind, lb, ub in zip(reg.names, reg.kinds, reg.lb, reg.ub):
+        if kind == _BINARY:
+            if ub == 0:
+                out.append(f" FX BND {name} 0")
             else:
-                out.append(f" BV BND {var.name}")
+                out.append(f" BV BND {name}")
         else:
-            if var.lb != 0:
-                out.append(f" LO BND {var.name} {num[var.lb]}")
-            out.append(f" UP BND {var.name} {num[var.ub]}")
+            if lb != 0:
+                out.append(f" LO BND {name} {num[lb]}")
+            out.append(f" UP BND {name} {num[ub]}")
         if len(out) >= _CHUNK_LINES:
             text.flush()
     out.append("ENDATA")

@@ -26,6 +26,10 @@ assignment binaries in the non-overlap activators and the bilinear
 support-area cap.  ``linearized`` replaces the activator product with the
 standard sum form (equivalent for binaries) and the bilinear cap with a
 piecewise-McCormick overestimate partitioned along the x-overlap axis.
+
+The model is built in array blocks: one registry append per variable
+family, and one numpy block per row family, or per group of families
+whose rows alternate case by case or pair by pair.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .geometry import (
     Placement,
     check_packing,
     effective_dims,
-    footprint_area,
     interval_overlap,
     placed_box,
     separating_relations,
@@ -54,6 +57,7 @@ from .geometry import (
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
+KINDS = (BINARY, CONTINUOUS)  # kind code -> kind
 
 INTEGRALITY_TOL = 1e-5
 
@@ -72,40 +76,57 @@ class Variable:
 
 
 class VariableRegistry:
-    """Ordered, named variable table with deterministic numbering."""
+    """Ordered, named variable table with deterministic numbering.
+
+    Variable v has name ``names[v]``, kind ``KINDS[kinds[v]]`` and bounds
+    ``lb[v]``/``ub[v]``, in flat arrays.  ``add`` appends a block of
+    variables; indexing builds a fresh ``Variable``.  The name-to-index map
+    is built on the first ``index`` or ``in``, so writing a model out never
+    builds it.
+    """
 
     def __init__(self) -> None:
-        self._vars: list[Variable] = []
-        self._index: dict[str, int] = {}
+        self.names: list[str] = []
+        self.kinds = bytearray()
+        self.lb, self.ub = array("d"), array("d")
+        self._index: dict[str, int] | None = None
 
-    def add(self, name: str, kind: str, lb: float, ub: float) -> int:
-        if name in self._index:
-            raise ValueError(f"duplicate variable {name}")
-        if not (math.isfinite(lb) and math.isfinite(ub)):
-            raise ArithmeticError(f"non-finite bound for {name}")
-        idx = len(self._vars)
-        self._vars.append(Variable(name, kind, lb, ub))
-        self._index[name] = idx
-        return idx
+    def add(self, family: str, labels: list[str], kind: str, lb, ub) -> np.ndarray:
+        """Append variables ``family[label]``, one per label; ``lb`` and
+        ``ub`` are one value or one per label.  Returns their indices."""
+        names = [f"{family}[{label}]" for label in labels]
+        lb, ub = (np.full(len(names), v, dtype=np.float64) for v in (lb, ub))
+        finite = np.isfinite(lb) & np.isfinite(ub)
+        if not finite.all():
+            raise ArithmeticError(f"non-finite bound for {names[int(np.argmin(finite))]}")
+        self.names.extend(names)
+        self.kinds.extend(bytes([KINDS.index(kind)]) * len(names))
+        self.lb.frombytes(lb.tobytes())
+        self.ub.frombytes(ub.tobytes())
+        self._index = None
+        return np.arange(len(self.names) - len(names), len(self.names))
+
+    def _positions(self) -> dict[str, int]:
+        if self._index is None:
+            self._index = dict(zip(self.names, range(len(self.names))))
+            if len(self._index) != len(self.names):
+                raise ValueError("duplicate variable name")
+        return self._index
 
     def index(self, name: str) -> int:
-        return self._index[name]
+        return self._positions()[name]
 
     def __len__(self) -> int:
-        return len(self._vars)
+        return len(self.names)
 
     def __getitem__(self, idx: int) -> Variable:
-        return self._vars[idx]
+        return Variable(self.names[idx], KINDS[self.kinds[idx]], self.lb[idx], self.ub[idx])
 
     def __iter__(self):
-        return iter(self._vars)
+        return map(self.__getitem__, range(len(self.names)))
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    @property
-    def names(self) -> list[str]:
-        return [v.name for v in self._vars]
+        return name in self._positions()
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,7 +152,7 @@ class RowStore(Sequence):
     ``indptr[r]:indptr[r + 1]`` (CSR).  Quadratic terms are kept only for
     the rows that have them, in row order: ``qrows[t]`` owns the product
     ``qcoefs[t] * v[qa[t]] * v[qb[t]]``.  Indexing builds a fresh
-    ``Constraint``; rows are only ever appended, through ``add``.
+    ``Constraint``; rows are only ever appended, a block at a time.
     """
 
     def __init__(self) -> None:
@@ -139,29 +160,10 @@ class RowStore(Sequence):
         self.senses = bytearray()
         self.rhs = array("d")
         self.indptr = array("q", [0])
-        self.cols = array("i")
-        self.coefs = array("d")
+        self.cols, self.coefs = array("i"), array("d")
         self.qrows = array("i")
-        self.qa = array("i")
-        self.qb = array("i")
+        self.qa, self.qb = array("i"), array("i")
         self.qcoefs = array("d")
-
-    def add(self, name: str, sense: str, rhs: float, terms: list[tuple[int, float]],
-            qterms: list[tuple[int, int, float]] | None = None) -> None:
-        row = len(self.names)
-        self.names.append(name)
-        self.senses.append(_SENSE_CODE[sense])
-        self.rhs.append(rhs)
-        cols, coefs = self.cols, self.coefs
-        for col, coef in terms:
-            cols.append(col)
-            coefs.append(coef)
-        self.indptr.append(len(cols))
-        for a, b, coef in qterms or ():
-            self.qrows.append(row)
-            self.qa.append(a)
-            self.qb.append(b)
-            self.qcoefs.append(coef)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -191,6 +193,64 @@ class RowStore(Sequence):
         return np.repeat(np.arange(len(self.names), dtype=np.int32), counts)
 
 
+class _RowBlock:
+    """Row families generated together over a list of units, for ``rows``.
+
+    Every unit (a case, a case and a bin, a pair, ...) gets one row of each
+    family, in the order the families were added; ``labels[u]`` is the
+    unit's part of the row names.  A family's terms are (column,
+    coefficient) pairs: a column is an index array with one entry per unit,
+    or a (units, k) array of k consecutive terms; a coefficient is a
+    number or an array of the column's shape.
+    """
+
+    def __init__(self, rows: RowStore, labels: list[str]) -> None:
+        self.rows, self.labels = rows, labels
+        self.families: list[tuple] = []
+
+    def add(self, name: str, sense: str, rhs, terms, *, suffix: str = "",
+            count=None, q=None) -> _RowBlock:
+        """Add a family.  ``count`` gives the number of leading terms each
+        unit's row keeps (all by default); ``q`` is the one quadratic term
+        (a, b, coefficient) of each row."""
+        units = len(self.labels)
+        if units:
+            cols = np.column_stack([np.reshape(col, (units, -1)) for col, _ in terms]
+                                   ).astype(np.int32)
+            coefs = np.column_stack([np.reshape(np.broadcast_to(coef, np.shape(col)),
+                                                (units, -1)) for col, coef in terms])
+            width = cols.shape[1]
+            keep = np.arange(width) < np.reshape(width if count is None else count, (-1, 1))
+            self.families.append(((f"{name}[", f"{suffix}]"), _SENSE_CODE[sense],
+                                  np.broadcast_to(rhs, (units,)), cols, coefs,
+                                  np.broadcast_to(keep, cols.shape), q))
+        return self
+
+    def write(self) -> None:
+        """Append the rows to the store, unit by unit, as one CSR block."""
+        if not self.families:
+            return
+        rows, units = self.rows, len(self.labels)
+        heads, senses, rhs, cols, coefs, keep, quad = zip(*self.families)
+        counts = np.column_stack([k.sum(axis=1) for k in keep])
+        cols, coefs, keep = map(np.column_stack, (cols, coefs, keep))
+        if not keep.all():
+            cols, coefs = cols[keep], coefs[keep]
+        # At most one quadratic term per row, so row-major order sorts them.
+        qf = [f for f, q in enumerate(quad) if q]
+        qrows = len(rows) + np.arange(counts.size).reshape(counts.shape)[:, qf]
+        qa, qb, qcoefs = (np.column_stack([np.full(units, quad[f][t]) for f in qf])
+                          if qf else () for t in range(3))
+        for store, part in ((rows.rhs, np.column_stack(rhs)),
+                            (rows.indptr, rows.indptr[-1] + np.cumsum(counts)),
+                            (rows.cols, cols), (rows.coefs, coefs),
+                            (rows.qrows, qrows), (rows.qa, qa), (rows.qb, qb),
+                            (rows.qcoefs, qcoefs)):
+            store.frombytes(np.ascontiguousarray(part, dtype=store.typecode).view(np.uint8))
+        rows.senses.extend(bytes(senses) * units)
+        rows.names.extend([head + label + tail for label in self.labels for head, tail in heads])
+
+
 @dataclass
 class Model:
     """A generated model: registry, linear objective, constraint rows."""
@@ -202,8 +262,8 @@ class Model:
     mccormick_pieces: int
     registry: VariableRegistry = field(default_factory=VariableRegistry)
     objective: list[tuple[int, float]] = field(default_factory=list)
-    # A read-only sequence of Constraint views; build_model appends rows
-    # through RowStore.add.
+    # A read-only sequence of Constraint views; build_model appends its
+    # rows in blocks, one or more row families at a time.
     constraints: RowStore = field(default_factory=RowStore)
 
     @property
@@ -216,7 +276,7 @@ class Model:
 
     def objective_at(self, values) -> float:
         if isinstance(values, dict):
-            values = [values.get(v.name, 0.0) for v in self.registry]
+            values = [values.get(name, 0.0) for name in self.registry.names]
         return sum(coef * values[idx] for idx, coef in self.objective)
 
 
@@ -267,6 +327,7 @@ def expected_constraint_count(m: int, n: int, type_group_sizes: tuple[int, ...] 
     return count
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is inf, as in float arithmetic
 def build_model(inst: Instance, *, support: float | None = None,
                 mode: str = "linearized", big_m: str = "paper",
                 mccormick_pieces: int = 4,
@@ -296,136 +357,113 @@ def build_model(inst: Instance, *, support: float | None = None,
     model = Model(inst, mode, support, big_m, mccormick_pieces)
     reg = model.registry
     cases, bins = inst.cases, inst.bins
-    l_total = inst.total_length
-    w_env = inst.max_width
-    h_env = inst.max_height
+    l_total, w_env, h_env = inst.total_length, inst.max_width, inst.max_height
     if not (math.isfinite(l_total) and math.isfinite(w_env) and math.isfinite(h_env)):
         raise ArithmeticError("non-finite activation constant")
 
-    # --- variables -------------------------------------------------------
-    e = [reg.add(f"e[{j}]", BINARY, 0, 1) for j in range(n)]
-    u = [[reg.add(f"u[{i},{j}]", BINARY, 0, 1) for j in range(n)] for i in range(m)]
-    b = {}
-    for i in range(m):
-        for i2 in range(i + 1, m):
-            for q in range(6):
-                b[i, i2, q] = reg.add(f"b[{i},{i2},{q}]", BINARY, 0, 1)
-    r = [[reg.add(f"r[{i},{k}]", BINARY, 0,
-                  1 if k in allowed_orientations else 0)
-          for k in ORIENTATIONS] for i in range(m)]
-    x = [reg.add(f"x[{i}]", CONTINUOUS, 0, l_total) for i in range(m)]
-    y = [reg.add(f"y[{i}]", CONTINUOUS, 0, w_env) for i in range(m)]
-    z = [reg.add(f"z[{i}]", CONTINUOUS, 0, h_env) for i in range(m)]
-    min_dim = [min(c.dims) for c in cases]
-    max_dim = [max(c.dims) for c in cases]
-    xp = [reg.add(f"xp[{i}]", CONTINUOUS, min_dim[i], max_dim[i]) for i in range(m)]
-    yp = [reg.add(f"yp[{i}]", CONTINUOUS, min_dim[i], max_dim[i]) for i in range(m)]
-    zp = [reg.add(f"zp[{i}]", CONTINUOUS, min_dim[i], max_dim[i]) for i in range(m)]
-    g = [reg.add(f"g[{j}]", CONTINUOUS, 0, bins[j].height) for j in range(n)]
+    # Index arrays: the cases and bins of each (case, bin) unit, the pairs
+    # i < i2 and the ordered pairs i != i2, all in lexicographic order.
+    ci, bj = np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
+    pi, pi2 = np.triu_indices(m, 1)
+    oi, oi2 = np.nonzero(~np.eye(m, dtype=bool))
+    case_labels, bin_labels = [str(i) for i in range(m)], [str(j) for j in range(n)]
+    unit_labels = [f"{i},{j}" for i in range(m) for j in range(n)]
+    pair_labels = [f"{i},{i2}" for i, i2 in zip(pi.tolist(), pi2.tolist())]
+    # eff[i, kpos] holds the (x, y, z) extents of case i in orientation kpos.
+    eff = np.array([[effective_dims(c, k) for k in ORIENTATIONS] for c in cases])
+    footprint = eff[:, :, 0] * eff[:, :, 1]
+    dims = eff[:, 0, :]
+    heights = np.array([bn.height for bn in bins])
 
-    ordered_pairs = [(i, i2) for i in range(m) for i2 in range(m) if i2 != i]
+    # --- variables -------------------------------------------------------
+    e = reg.add("e", bin_labels, BINARY, 0, 1)
+    u = reg.add("u", unit_labels, BINARY, 0, 1).reshape(m, n)
+    b = reg.add("b", [f"{label},{q}" for label in pair_labels for q in range(6)],
+                BINARY, 0, 1).reshape(-1, 6)
+    r = reg.add("r", [f"{i},{k}" for i in range(m) for k in ORIENTATIONS], BINARY, 0,
+                np.tile(np.isin(ORIENTATIONS, allowed_orientations), m)).reshape(m, 6)
+    x, y, z = (reg.add(axis, case_labels, CONTINUOUS, 0, cap)
+               for axis, cap in zip("xyz", (l_total, w_env, h_env)))
+    min_dim, max_dim = dims.min(axis=1), dims.max(axis=1)
+    xp, yp, zp = (reg.add(f"{axis}p", case_labels, CONTINUOUS, min_dim, max_dim)
+                  for axis in "xyz")
+    g = reg.add("g", bin_labels, CONTINUOUS, 0, heights)
+
     if support is not None:
-        max_fp = [max(footprint_area(c, k) for k in ORIENTATIONS) for c in cases]
-        pair_cap = {(i, i2): min(max_fp[i], max_fp[i2]) for i, i2 in ordered_pairs}
-        ov_cap = {(i, i2): min(max_dim[i], max_dim[i2]) for i, i2 in ordered_pairs}
-        s = {p: reg.add(f"s[{p[0]},{p[1]}]", CONTINUOUS, 0, pair_cap[p])
-             for p in ordered_pairs}
-        f = {p: reg.add(f"f[{p[0]},{p[1]}]", BINARY, 0, 1) for p in ordered_pairs}
-        ox = {p: reg.add(f"ox[{p[0]},{p[1]}]", CONTINUOUS, 0, ov_cap[p])
-              for p in ordered_pairs}
-        oy = {p: reg.add(f"oy[{p[0]},{p[1]}]", CONTINUOUS, 0, ov_cap[p])
-              for p in ordered_pairs}
-        sg = [reg.add(f"sg[{i}]", CONTINUOUS, 0, max_fp[i]) for i in range(m)]
-        fg = [reg.add(f"fg[{i}]", BINARY, 0, 1) for i in range(m)]
+        ordered_labels = [f"{i},{i2}" for i, i2 in zip(oi.tolist(), oi2.tolist())]
+        max_fp = footprint.max(axis=1)
+        pair_cap = np.minimum(max_fp[oi], max_fp[oi2])
+        ov_cap = np.minimum(max_dim[oi], max_dim[oi2])
+        s = reg.add("s", ordered_labels, CONTINUOUS, 0, pair_cap)
+        f = reg.add("f", ordered_labels, BINARY, 0, 1)
+        ox, oy = (reg.add(f"o{axis}", ordered_labels, CONTINUOUS, 0, ov_cap) for axis in "xy")
+        sg = reg.add("sg", case_labels, CONTINUOUS, 0, max_fp)
+        fg = reg.add("fg", case_labels, BINARY, 0, 1)
         if mode == "linearized":
-            lam = {(i, i2, p): reg.add(f"lam[{i},{i2},{p}]", BINARY, 0, 1)
-                   for i, i2 in ordered_pairs for p in range(mccormick_pieces)}
+            lam = reg.add("lam", [f"{label},{p}" for label in ordered_labels
+                                  for p in range(mccormick_pieces)],
+                          BINARY, 0, 1).reshape(-1, mccormick_pieces)
 
     # --- objective -------------------------------------------------------
-    obj = model.objective
-    for i, case in enumerate(cases):
-        weight = inst.case_weights[i]
-        obj.append((z[i], weight))
-        for kpos, k in enumerate(ORIENTATIONS):
-            obj.append((r[i][kpos], weight * effective_dims(case, k)[2]))
-    for j in range(n):
-        obj.append((g[j], 1.0))
-    for j in range(n):
-        obj.append((e[j], bins[j].height))
+    weights = np.array(inst.case_weights)
+    obj_cols = np.concatenate([np.column_stack([z, r]).ravel(), g, e])
+    obj_coefs = np.concatenate([np.column_stack([weights, weights[:, None] * eff[:, :, 2]])
+                                .ravel(), np.ones(n), heights])
+    model.objective.extend(zip(obj_cols.tolist(), obj_coefs.tolist()))
 
-    add = model.constraints.add
+    rows = model.constraints
 
     # --- orientation -----------------------------------------------------
-    for i in range(m):
-        add(f"orient_pick[{i}]", "=", 1.0, [(v, 1.0) for v in r[i]])
-    for i, case in enumerate(cases):
-        for axis, var in enumerate((xp[i], yp[i], zp[i])):
-            terms = [(var, 1.0)]
-            for kpos, k in enumerate(ORIENTATIONS):
-                terms.append((r[i][kpos], -effective_dims(case, k)[axis]))
-            add(f"eff_{'xyz'[axis]}[{i}]", "=", 0.0, terms)
+    _RowBlock(rows, case_labels).add("orient_pick", "=", 1.0, [(r, 1.0)]).write()
+    block = _RowBlock(rows, case_labels)
+    for axis, var in enumerate((xp, yp, zp)):
+        block.add(f"eff_{'xyz'[axis]}", "=", 0.0, [(var, 1.0), (r, -eff[:, :, axis])])
+    block.write()
 
     # --- assignment ------------------------------------------------------
-    for i in range(m):
-        add(f"assign_one[{i}]", "=", 1.0, [(v, 1.0) for v in u[i]])
-    for i in range(m):
-        for j in range(n):
-            add(f"assign_use[{i},{j}]", "<=", 0.0,
-                [(u[i][j], 1.0), (e[j], -1.0)])
-    for group in inst.type_ranges:
-        for j in group[1:]:
-            add(f"bin_order[{j - 1}]", "<=", 0.0,
-                [(e[j], 1.0), (e[j - 1], -1.0)])
+    _RowBlock(rows, case_labels).add("assign_one", "=", 1.0, [(u, 1.0)]).write()
+    _RowBlock(rows, unit_labels).add("assign_use", "<=", 0.0,
+                                     [(u.ravel(), 1.0), (e[bj], -1.0)]).write()
+    later = np.array([j for group in inst.type_ranges for j in group[1:]], dtype=np.int64)
+    _RowBlock(rows, [str(j - 1) for j in later.tolist()]).add(
+        "bin_order", "<=", 0.0, [(e[later], 1.0), (e[later - 1], -1.0)]).write()
 
     # --- pairwise non-overlap --------------------------------------------
     # Relation q separates the pair along one axis: 0/3 along x, 1/4 along
     # y, 2/5 along z, with the roles of i and i2 swapped in 3..5.  A row is
     # active only when both cases share bin j and the relation is chosen.
-    axis_m = (l_total, w_env, h_env)
-    for i in range(m):
-        for i2 in range(i + 1, m):
-            for j in range(n):
-                for q in range(6):
-                    axis = q % 3
-                    big = axis_m[axis]
-                    lo, hi = (i, i2) if q < 3 else (i2, i)
-                    coord = (x, y, z)[axis]
-                    ext = (xp, yp, zp)[axis]
-                    terms = [(coord[lo], 1.0), (ext[lo], 1.0), (coord[hi], -1.0),
-                             (b[i, i2, q], big)]
-                    if mode == "quadratic":
-                        qterms = [(u[i][j], u[i2][j], big)]
-                        add(f"sep[{i},{i2},{j},{q}]", "<=", 2 * big,
-                            terms, qterms)
-                    else:
-                        terms.extend([(u[i][j], big), (u[i2][j], big)])
-                        add(f"sep[{i},{i2},{j},{q}]", "<=", 3 * big, terms)
-    for i in range(m):
-        for i2 in range(i + 1, m):
-            add(f"sep_pick[{i},{i2}]", "=", 1.0,
-                [(b[i, i2, q], 1.0) for q in range(6)])
+    sp, sj = np.repeat(np.arange(len(pi)), n), np.tile(np.arange(n), len(pi))
+    si, si2 = pi[sp], pi2[sp]
+    block = _RowBlock(rows, [f"{label},{j}" for label in pair_labels for j in range(n)])
+    for q in range(6):
+        big = (l_total, w_env, h_env)[q % 3]
+        coord, ext = (x, y, z)[q % 3], (xp, yp, zp)[q % 3]
+        lo, hi = (si, si2) if q < 3 else (si2, si)
+        terms = [(coord[lo], 1.0), (ext[lo], 1.0), (coord[hi], -1.0), (b[sp, q], big)]
+        if mode == "quadratic":
+            block.add("sep", "<=", 2 * big, terms, suffix=f",{q}",
+                      q=(u[si, sj], u[si2, sj], big))
+        else:
+            block.add("sep", "<=", 3 * big,
+                      terms + [(u[si, sj], big), (u[si2, sj], big)], suffix=f",{q}")
+    block.write()
+    _RowBlock(rows, pair_labels).add("sep_pick", "=", 1.0, [(b, 1.0)]).write()
 
     # --- bin boundaries ----------------------------------------------------
-    for i in range(m):
-        for j in range(n):
-            start, end = inst.bin_window(j)
-            bj = bins[j]
-            mx = l_total - end if big_m == "tight" else l_total
-            my = w_env - bj.width if big_m == "tight" else w_env
-            mz = h_env - bj.height if big_m == "tight" else h_env
-            add(f"bound_xhi[{i},{j}]", "<=", end + mx,
-                [(x[i], 1.0), (xp[i], 1.0), (u[i][j], mx)])
-            xlo_terms = [(x[i], 1.0)]
-            if start != 0:
-                xlo_terms.append((u[i][j], -start))
-            add(f"bound_xlo[{i},{j}]", ">=", 0.0, xlo_terms)
-            add(f"bound_yhi[{i},{j}]", "<=", bj.width + my,
-                [(y[i], 1.0), (yp[i], 1.0), (u[i][j], my)])
-            add(f"bound_zhi[{i},{j}]", "<=", bj.height + mz,
-                [(z[i], 1.0), (zp[i], 1.0), (u[i][j], mz)])
-            add(f"top_height[{i},{j}]", "<=", h_env,
-                [(z[i], 1.0), (zp[i], 1.0), (g[j], -1.0),
-                 (u[i][j], h_env)])
+    starts, ends = (np.array(v) for v in zip(*map(inst.bin_window, range(n))))
+    widths = np.array([bn.width for bn in bins])
+    mx, my, mz = ((l_total - ends, w_env - widths, h_env - heights) if big_m == "tight"
+                  else (np.full(n, l_total), np.full(n, w_env), np.full(n, h_env)))
+    uu = u.ravel()
+    block = _RowBlock(rows, unit_labels)
+    block.add("bound_xhi", "<=", (ends + mx)[bj], [(x[ci], 1.0), (xp[ci], 1.0), (uu, mx[bj])])
+    block.add("bound_xlo", ">=", 0.0, [(x[ci], 1.0), (uu, -starts[bj])],
+              count=np.where(starts[bj] != 0, 2, 1))
+    for axis, coord, ext, size, slack in (("y", y, yp, widths, my), ("z", z, zp, heights, mz)):
+        block.add(f"bound_{axis}hi", "<=", (size + slack)[bj],
+                  [(coord[ci], 1.0), (ext[ci], 1.0), (uu, slack[bj])])
+    block.add("top_height", "<=", h_env,
+              [(z[ci], 1.0), (zp[ci], 1.0), (g[bj], -1.0), (uu, h_env)]).write()
 
     # --- support -----------------------------------------------------------
     if support is not None:
@@ -433,88 +471,53 @@ def build_model(inst: Instance, *, support: float | None = None,
         # Minimum support: credited areas from other cases plus the floor
         # must cover fraction t of the oriented footprint, whose area is
         # linear in the orientation binaries because exactly one is set.
-        for i, case in enumerate(cases):
-            terms = [(s[i, i2], 1.0) for i2 in range(m) if i2 != i]
-            terms.append((sg[i], 1.0))
-            for kpos, k in enumerate(ORIENTATIONS):
-                terms.append((r[i][kpos], -t * footprint_area(case, k)))
-            add(f"sup_min[{i}]", ">=", 0.0, terms)
+        _RowBlock(rows, case_labels).add(
+            "sup_min", ">=", 0.0,
+            [(s.reshape(m, m - 1), 1.0), (sg, 1.0), (r, -t * footprint)]).write()
 
-        for i, i2 in ordered_pairs:
-            fv = f[i, i2]
-            # Touching along z: base of i meets top of i2 when f is set.
-            add(f"touch_zlo[{i},{i2}]", "<=", h_env,
-                [(z[i2], 1.0), (zp[i2], 1.0), (z[i], -1.0), (fv, h_env)])
-            add(f"touch_zhi[{i},{i2}]", "<=", h_env,
-                [(z[i], 1.0), (z[i2], -1.0), (zp[i2], -1.0), (fv, h_env)])
-            # Touching pairs must intersect in x and y so the overlap
-            # widths below stay non-negative.
-            add(f"touch_xlo[{i},{i2}]", "<=", l_total,
-                [(x[i2], 1.0), (x[i], -1.0), (xp[i], -1.0), (fv, l_total)])
-            add(f"touch_xhi[{i},{i2}]", "<=", l_total,
-                [(x[i], 1.0), (x[i2], -1.0), (xp[i2], -1.0), (fv, l_total)])
-            add(f"touch_ylo[{i},{i2}]", "<=", w_env,
-                [(y[i2], 1.0), (y[i], -1.0), (yp[i], -1.0), (fv, w_env)])
-            add(f"touch_yhi[{i},{i2}]", "<=", w_env,
-                [(y[i], 1.0), (y[i2], -1.0), (yp[i2], -1.0), (fv, w_env)])
-            add(f"sup_cap[{i},{i2}]", "<=", 0.0,
-                [(s[i, i2], 1.0), (fv, -pair_cap[i, i2])])
-            if mode == "quadratic":
-                add(f"sup_area[{i},{i2}]", "<=", 0.0,
-                    [(s[i, i2], 1.0)],
-                    [(ox[i, i2], oy[i, i2], -1.0)])
-            else:
-                cap_a = pair_cap[i, i2]
-                ub_x = ov_cap[i, i2]
-                ub_y = ov_cap[i, i2]
-                pieces = mccormick_pieces
-                bps = [ub_x * p / pieces for p in range(pieces + 1)]
-                lam_terms = [(lam[i, i2, p], 1.0) for p in range(pieces)]
-                add(f"mc_pick[{i},{i2}]", "=", 1.0, list(lam_terms))
-                add(f"mc_lo[{i},{i2}]", ">=", 0.0,
-                    [(ox[i, i2], 1.0)]
-                    + [(lam[i, i2, p], -bps[p]) for p in range(pieces)])
-                add(f"mc_hi[{i},{i2}]", "<=", 0.0,
-                    [(ox[i, i2], 1.0)]
-                    + [(lam[i, i2, p], -bps[p + 1]) for p in range(pieces)])
-                for p in range(pieces):
-                    # Segment-local overestimates of the overlap product.
-                    add(f"mc_ub1[{i},{i2},{p}]", "<=", cap_a,
-                        [(s[i, i2], 1.0), (oy[i, i2], -bps[p + 1]),
-                         (lam[i, i2, p], cap_a)])
-                    big2 = cap_a + bps[p] * ub_y
-                    add(f"mc_ub2[{i},{i2},{p}]", "<=", cap_a,
-                        [(s[i, i2], 1.0), (oy[i, i2], -bps[p]),
-                         (ox[i, i2], -ub_y), (lam[i, i2, p], big2)])
+        block = _RowBlock(rows, ordered_labels)
+        # Touching along z: base of i meets top of i2 when f is set.
+        block.add("touch_zlo", "<=", h_env,
+                  [(z[oi2], 1.0), (zp[oi2], 1.0), (z[oi], -1.0), (f, h_env)])
+        block.add("touch_zhi", "<=", h_env,
+                  [(z[oi], 1.0), (z[oi2], -1.0), (zp[oi2], -1.0), (f, h_env)])
+        # Touching pairs must intersect in x and y so the overlap widths
+        # below stay non-negative.
+        for axis, coord, ext, cap in (("x", x, xp, l_total), ("y", y, yp, w_env)):
+            block.add(f"touch_{axis}lo", "<=", cap, [(coord[oi2], 1.0), (coord[oi], -1.0),
+                                                     (ext[oi], -1.0), (f, cap)])
+            block.add(f"touch_{axis}hi", "<=", cap, [(coord[oi], 1.0), (coord[oi2], -1.0),
+                                                     (ext[oi2], -1.0), (f, cap)])
+        block.add("sup_cap", "<=", 0.0, [(s, 1.0), (f, -pair_cap)])
+        if mode == "quadratic":
+            block.add("sup_area", "<=", 0.0, [(s, 1.0)], q=(ox, oy, -1.0))
+        else:
+            pieces = mccormick_pieces
+            bps = ov_cap[:, None] * np.arange(pieces + 1) / pieces
+            big2 = pair_cap[:, None] + bps[:, :-1] * ov_cap[:, None]
+            block.add("mc_pick", "=", 1.0, [(lam, 1.0)])
+            block.add("mc_lo", ">=", 0.0, [(ox, 1.0), (lam, -bps[:, :-1])])
+            block.add("mc_hi", "<=", 0.0, [(ox, 1.0), (lam, -bps[:, 1:])])
+            for p in range(pieces):
+                # Segment-local overestimates of the overlap product.
+                block.add("mc_ub1", "<=", pair_cap, [(s, 1.0), (oy, -bps[:, p + 1]),
+                                                     (lam[:, p], pair_cap)], suffix=f",{p}")
+                block.add("mc_ub2", "<=", pair_cap, [(s, 1.0), (oy, -bps[:, p]), (ox, -ov_cap),
+                                                     (lam[:, p], big2[:, p])], suffix=f",{p}")
+        # Overlap widths bounded by the actual interval overlaps when the
+        # pair touches, and by both effective extents always.
+        for axis, over, coord, ext, cap in (("x", ox, x, xp, l_total), ("y", oy, y, yp, w_env)):
+            block.add(f"ov{axis}_a", "<=", cap, [(over, 1.0), (coord[oi], -1.0),
+                                                 (ext[oi], -1.0), (coord[oi2], 1.0), (f, cap)])
+            block.add(f"ov{axis}_b", "<=", cap, [(over, 1.0), (coord[oi2], -1.0),
+                                                 (ext[oi2], -1.0), (coord[oi], 1.0), (f, cap)])
+            block.add(f"ov{axis}_c", "<=", 0.0, [(over, 1.0), (ext[oi], -1.0)])
+            block.add(f"ov{axis}_d", "<=", 0.0, [(over, 1.0), (ext[oi2], -1.0)])
+        block.write()
 
-            # Overlap widths bounded by the actual interval overlaps when
-            # the pair touches, and by both effective extents always.
-            add(f"ovx_a[{i},{i2}]", "<=", l_total,
-                [(ox[i, i2], 1.0), (x[i], -1.0), (xp[i], -1.0),
-                 (x[i2], 1.0), (fv, l_total)])
-            add(f"ovx_b[{i},{i2}]", "<=", l_total,
-                [(ox[i, i2], 1.0), (x[i2], -1.0), (xp[i2], -1.0),
-                 (x[i], 1.0), (fv, l_total)])
-            add(f"ovx_c[{i},{i2}]", "<=", 0.0,
-                [(ox[i, i2], 1.0), (xp[i], -1.0)])
-            add(f"ovx_d[{i},{i2}]", "<=", 0.0,
-                [(ox[i, i2], 1.0), (xp[i2], -1.0)])
-            add(f"ovy_a[{i},{i2}]", "<=", w_env,
-                [(oy[i, i2], 1.0), (y[i], -1.0), (yp[i], -1.0),
-                 (y[i2], 1.0), (fv, w_env)])
-            add(f"ovy_b[{i},{i2}]", "<=", w_env,
-                [(oy[i, i2], 1.0), (y[i2], -1.0), (yp[i2], -1.0),
-                 (y[i], 1.0), (fv, w_env)])
-            add(f"ovy_c[{i},{i2}]", "<=", 0.0,
-                [(oy[i, i2], 1.0), (yp[i], -1.0)])
-            add(f"ovy_d[{i},{i2}]", "<=", 0.0,
-                [(oy[i, i2], 1.0), (yp[i2], -1.0)])
-
-        for i in range(m):
-            add(f"ground_touch[{i}]", "<=", h_env,
-                [(z[i], 1.0), (fg[i], h_env)])
-            add(f"ground_cap[{i}]", "<=", 0.0,
-                [(sg[i], 1.0), (fg[i], -max_fp[i])])
+        _RowBlock(rows, case_labels).add(
+            "ground_touch", "<=", h_env, [(z, 1.0), (fg, h_env)]).add(
+            "ground_cap", "<=", 0.0, [(sg, 1.0), (fg, -max_fp)]).write()
 
     assert model.num_variables == expected_variable_count(
         m, n, support=support is not None, mode=mode,
@@ -540,7 +543,8 @@ def packing_to_assignment(model: Model, pack: Packing,
     inst = model.instance
     check_packing(inst, pack)
     m, n = inst.num_cases, inst.num_bins
-    values: dict[str, float] = {v.name: 0.0 for v in model.registry}
+    reg = model.registry
+    values: dict[str, float] = dict.fromkeys(reg.names, 0.0)
     placements = pack.placements
     boxes = [placed_box(inst.cases[p.case_index], p) for p in placements]
 
@@ -593,10 +597,8 @@ def packing_to_assignment(model: Model, pack: Packing,
                     values[f"oy[{i},{i2}]"] = oyv
                     values[f"s[{i},{i2}]"] = oxv * oyv
                 if model.mode == "linearized":
-                    ub = model.registry[model.registry.index(f"ox[{i},{i2}]")].ub
-                    seg = 0
-                    if ub > 0:
-                        seg = min(int(oxv / ub * pieces), pieces - 1)
+                    ub = reg.ub[reg.index(f"ox[{i},{i2}]")]
+                    seg = min(int(oxv / ub * pieces), pieces - 1) if ub > 0 else 0
                     values[f"lam[{i},{i2},{seg}]"] = 1.0
     return values
 
@@ -613,23 +615,21 @@ def check_assignment(model: Model, values, tol: float = DEFAULT_TOL) -> list[Row
     ``values`` maps variable names (or registry indices via a sequence) to
     values.  Empty result means the assignment satisfies the model.
     """
+    names, lb, ub = (model.registry.names, np.frombuffer(model.registry.lb),
+                     np.frombuffer(model.registry.ub))
     if isinstance(values, dict):
-        vec = [values.get(v.name, 0.0) for v in model.registry]
-    else:
-        vec = list(values)
-        if len(vec) != len(model.registry):
-            raise ValueError("value vector length mismatch")
-    out: list[RowViolation] = []
-    for pos, var in enumerate(model.registry):
-        val = vec[pos]
-        if val < var.lb - tol:
-            out.append(RowViolation(f"lb:{var.name}", var.lb - val))
-        elif not val <= var.ub + tol:  # a NaN fails this test too
-            out.append(RowViolation(f"ub:{var.name}", val - var.ub))
+        values = [values.get(name, 0.0) for name in names]
+    v = np.asarray(list(values), dtype=np.float64)
+    if v.shape != (len(names),):
+        raise ValueError("value vector length mismatch")
+    low = v < lb - tol
+    high = ~low & ~(v <= ub + tol)  # a NaN fails the upper test
+    out = [RowViolation(f"lb:{names[pos]}", (lb[pos] - v[pos]).item()) if low[pos] else
+           RowViolation(f"ub:{names[pos]}", (v[pos] - ub[pos]).item())
+           for pos in np.flatnonzero(low | high).tolist()]
     # Each row's terms are summed in stored order from 0.0 (bincount adds
     # its weights sequentially), the quadratic part separately, then added.
     rows = model.constraints
-    v = np.asarray(vec, dtype=np.float64)
     cols = np.frombuffer(rows.cols, dtype=np.int32)
     lhs = np.bincount(rows.row_of(), weights=np.frombuffer(rows.coefs) * v[cols],
                       minlength=len(rows))
@@ -644,9 +644,8 @@ def check_assignment(model: Model, values, tol: float = DEFAULT_TOL) -> list[Row
     # How far each row is past its sense, in SENSES order "<=", ">=", "=";
     # a NaN excess is a violation.
     excess = np.select([sense == 0, sense == 1], [gap, -gap], np.abs(gap))
-    for row in np.flatnonzero(~(excess <= tol)).tolist():
-        out.append(RowViolation(rows.names[row], excess[row].item()))
-    return out
+    return out + [RowViolation(rows.names[row], excess[row].item())
+                  for row in np.flatnonzero(~(excess <= tol)).tolist()]
 
 
 @dataclass

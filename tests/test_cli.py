@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binpack3d.cli import main
 from binpack3d.instance_io import load_bundled, parse_packing, write_packing
-from binpack3d.model import expected_constraint_count
+from binpack3d.model import expected_constraint_count, expected_variable_count
 
 
 def run_cli(args, capsys):
@@ -117,6 +124,70 @@ class TestExport:
              "--out", str(out)], capsys)
         assert code == 0
         assert "sup_min[0]:" in out.read_text()
+
+
+_dims = st.lists(st.floats(0.1, 12.0), min_size=3, max_size=3)
+
+
+@st.composite
+def export_requests(draw):
+    """A small instance document plus export flags, some of them out of range."""
+    case_qty = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4)
+                    .filter(lambda qty: sum(qty) <= 4))
+    bin_qty = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    doc = {"format_version": 1, "name": "fuzz",
+           "cases": [dict(zip(("length", "width", "height"), draw(_dims)), id=k, quantity=q)
+                     for k, q in enumerate(case_qty)],
+           "bins": [dict(zip(("length", "width", "height"), draw(_dims)), type_id=k,
+                         quantity=q) for k, q in enumerate(bin_qty)]}
+    support = draw(st.one_of(st.none(), st.floats(0.0, 1.0), st.floats(-2.0, 3.0),
+                             st.just(math.nan)))
+    flags = {"mode": draw(st.sampled_from(["linearized", "quadratic"])),
+             "big-m": draw(st.sampled_from(["paper", "tight"])),
+             "mccormick-pieces": draw(st.integers(-1, 6)),
+             "orientations": draw(st.sampled_from([2, 6])),
+             "format": draw(st.sampled_from(["lp", "mps"]))}
+    if support is not None:
+        flags["support-threshold"] = support
+    return doc, flags
+
+
+class TestExportFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(export_requests())
+    def test_export_exits_cleanly(self, request):
+        doc, flags = request
+        support = flags.get("support-threshold")
+        valid = ((support is None or 0 <= support <= 1) and flags["mccormick-pieces"] >= 1
+                 and not (flags["format"] == "mps" and flags["mode"] == "quadratic"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "inst.json"), os.path.join(tmp, "model.txt")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            argv = ["export", "--instance", path, "--out", out,
+                    *(f"--{flag}={value!r}" if isinstance(value, float)
+                      else f"--{flag}={value}" for flag, value in flags.items())]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert code == (0 if valid else 1), stderr.getvalue()
+            if code == 1:
+                err = stderr.getvalue()
+                assert err.startswith("binpack3d: error:") and err.count("\n") == 1
+                assert "Traceback" not in err and stdout.getvalue() == ""
+                assert os.listdir(tmp) == ["inst.json"]
+                return
+            summary = json.loads(stdout.getvalue())
+            m = sum(case["quantity"] for case in doc["cases"])
+            sizes = tuple(spec["quantity"] for spec in doc["bins"])
+            shape = {"support": support is not None, "mode": flags["mode"],
+                     "mccormick_pieces": flags["mccormick-pieces"]}
+            assert summary["variables"] == expected_variable_count(m, sum(sizes), **shape)
+            assert summary["constraints"] == expected_constraint_count(
+                m, sum(sizes), sizes, **shape)
+            with open(out) as fh:
+                text = fh.read()
+            assert text.endswith("End\n" if flags["format"] == "lp" else "ENDATA\n")
 
 
 class TestValidateCommand:

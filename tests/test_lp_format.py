@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from binpack3d.geometry import BinSpec, CaseSpec, Instance
+from binpack3d.geometry import BinSpec, CaseSpec, Instance, orientation_set
 from binpack3d.instance_io import load_bundled
 from binpack3d.lp_format import UnsupportedModeError, emit_lp, emit_mps
 from binpack3d.model import build_model
@@ -150,6 +150,57 @@ def test_bundled_output_bytes_pinned(number, support, mode):
     """
     model = build_model(load_bundled(number), support=support, mode=mode)
     for fmt, (size, digest) in PINNED_BYTES[number, support, mode].items():
+        text = emit_lp(model) if fmt == "lp" else emit_mps(model)
+        assert len(text) == size, fmt
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt
+
+
+def mixed_bin_instance():
+    """Two bin types (two bins of one, one of the other) of different sizes:
+    bins 1 and 2 start off the frame origin, and each type has its own
+    in-order usage rows."""
+    return Instance("mixed-bins",
+                    (CaseSpec(0, 2.3, 1.7, 0.9, quantity=2), CaseSpec(1, 3.1, 2.2, 1.3),
+                     CaseSpec(2, 1.1, 0.7, 2.6)),
+                    (BinSpec(0, 6.1, 4.3, 3.7, quantity=2), BinSpec(1, 7.3, 5.2, 2.9)))
+
+
+# (support, mode, big-M policy, allowed orientations) -> {format: (characters, sha256)}
+MIXED_PINNED_BYTES = {
+    (None, "linearized", "paper", 6): {
+        "lp": (20103, "6003bc18ca7e3edddabc16db2805d7af63c07705c77dba03ccdf4fb0722c254e"),
+        "mps": (39033, "fd052067353fb089932cfaab147e3ae9ac94b8d412fafb2ba69a0682e25ee220")},
+    (None, "linearized", "tight", 6): {
+        "lp": (20303, "8829a6354f6611c43c0db265a085839b9443bbad2536f0e1dfc44cb1f5d77cf6"),
+        "mps": (39233, "a8c785e3422eeba2bf224f1a56d9b3fff07f4f019a9e9104964ea44c7db3c19f")},
+    (None, "quadratic", "paper", 6): {
+        "lp": (19167, "44c638078e68a927dee5be800079cb9a7ce2aafe04b99e65e7fac7cd9eed4928")},
+    (None, "quadratic", "tight", 6): {
+        "lp": (19367, "56d341930ae593ce5a5cbbe08f89723f6afe94535dfd73a5175118aeefdae651")},
+    (0.8, "linearized", "paper", 6): {
+        "lp": (48753, "655809241cff9d9a476c14259ccde481faf7d2c94b49238ab86288809d3ec1b6"),
+        "mps": (89783, "1e9bab89997d4db6752fb1dd55ddd90970c85923612fbb69db8e01ab6ed3a27f")},
+    (0.8, "linearized", "tight", 6): {
+        "lp": (48953, "5b511e34162cdea6fd16f5db55c7e3ff1ee8d3ce330f44eaca17d855ed936bc2"),
+        "mps": (89983, "b1bd745379b93e91d4fbfb9fc9e4788a65528a764f2ab2d0f3aa54fe7b272dee")},
+    (0.8, "quadratic", "paper", 6): {
+        "lp": (33961, "9a5e49143118a02459268953c58b098edeb23d42b990edacb6c8c231fbee47fb")},
+    (0.8, "quadratic", "tight", 6): {
+        "lp": (34161, "3c6610e05576a72143619e000c034c3b7df90d692b73449e687c82888b399898")},
+    (0.8, "linearized", "tight", 2): {
+        "lp": (49145, "13964a06723b549a2db10c3d07d6726a6a9846676bf73561335f7c3670fad0a1"),
+        "mps": (90015, "0a86a313d9b2f9c2da377938c057f62ed6c365cd138b11a2bbf0520c77477a2d")},
+}
+
+
+@pytest.mark.parametrize("support,mode,big_m,orientations",
+                         sorted(MIXED_PINNED_BYTES, key=str))
+def test_mixed_bin_types_output_bytes_pinned(support, mode, big_m, orientations):
+    """LP and MPS text of a model over two bin types is byte-identical to the
+    reference, recorded at commit 817f850 with the row-by-row model build."""
+    model = build_model(mixed_bin_instance(), support=support, mode=mode, big_m=big_m,
+                        allowed_orientations=orientation_set(orientations))
+    for fmt, (size, digest) in MIXED_PINNED_BYTES[support, mode, big_m, orientations].items():
         text = emit_lp(model) if fmt == "lp" else emit_mps(model)
         assert len(text) == size, fmt
         assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import random
 import re
+import warnings
 
 import pytest
 
@@ -18,8 +20,12 @@ from binpack3d.geometry import (
 from binpack3d.heuristic import solve_heuristic
 from binpack3d.instance_io import load_bundled
 from binpack3d.model import (
+    BINARY,
+    CONTINUOUS,
     RowViolation,
     SolutionImportError,
+    Variable,
+    VariableRegistry,
     audit_big_m,
     build_model,
     check_assignment,
@@ -133,6 +139,9 @@ class TestCounts:
         # support credit capped by the smaller of the two max footprints
         assert reg[reg.index("s[0,1]")].ub == pytest.approx(min(4 * 3, 2 * 2) * 1.0)
         assert reg[reg.index("ox[0,1]")].ub == pytest.approx(2.0)
+        assert reg[reg.index("xp[0]")] == Variable("xp[0]", CONTINUOUS, 2.0, 4.0)
+        assert reg[reg.index("sg[1]")] == Variable("sg[1]", CONTINUOUS, 0.0, 4.0)
+        assert reg[reg.index("u[2,1]")] == Variable("u[2,1]", BINARY, 0.0, 1.0)
 
     def test_restricted_orientations_fix_bounds_not_counts(self):
         inst = small_instance()
@@ -142,6 +151,55 @@ class TestCounts:
         reg = limited.registry
         assert reg[reg.index("r[0,2]")].ub == 0
         assert reg[reg.index("r[0,1]")].ub == 1
+
+
+BINARY_FAMILIES = {"e", "u", "b", "r", "f", "fg", "lam"}
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("number", [1, 2])
+    @pytest.mark.parametrize("support", [None, 0.8])
+    @pytest.mark.parametrize("mode", ["linearized", "quadratic"])
+    def test_names_unique_and_indexed(self, number, support, mode):
+        model = build_model(load_bundled(number), support=support, mode=mode)
+        reg = model.registry
+        assert len(set(reg.names)) == len(reg.names) == model.num_variables
+        assert len(set(model.constraints.names)) == model.num_constraints
+        for pos, name in enumerate(reg.names):
+            assert reg.index(name) == pos and name in reg
+            var = reg[pos]
+            kind = BINARY if name.split("[")[0] in BINARY_FAMILIES else CONTINUOUS
+            assert var == Variable(name, kind, reg.lb[pos], reg.ub[pos])
+            assert type(var.lb) is float and type(var.ub) is float
+        assert "nope[0]" not in reg
+        assert [v.name for v in reg] == reg.names
+
+    @pytest.mark.parametrize("lb,ub,bad", [
+        (0.0, [1.0, math.inf, 2.0], "v[1]"),
+        ([0.0, 0.0, -math.inf], 1.0, "v[2]"),
+        ([math.nan, 0.0, 0.0], 1.0, "v[0]")])
+    def test_non_finite_bound_names_the_variable(self, lb, ub, bad):
+        reg = VariableRegistry()
+        with pytest.raises(ArithmeticError, match=re.escape(f"non-finite bound for {bad}")):
+            reg.add("v", ["0", "1", "2"], CONTINUOUS, lb, ub)
+        assert len(reg) == 0 and reg.names == []
+
+    def test_overflowing_footprint_bound_raises(self):
+        # finite volume, but the footprint in orientation 4 is 1e200 * 1e200
+        inst = Instance("flat", (CaseSpec(0, 1e-300, 1e200, 1e200),),
+                        (BinSpec(0, 5, 5, 5),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            assert build_model(inst).num_variables == expected_variable_count(1, 1)
+            with pytest.raises(ArithmeticError,
+                               match=re.escape("non-finite bound for sg[0]")):
+                build_model(inst, support=0.5)
+
+    def test_duplicate_name_rejected_on_lookup(self):
+        reg = VariableRegistry()
+        reg.add("v", ["0", "0"], BINARY, 0, 1)
+        with pytest.raises(ValueError, match="duplicate"):
+            reg.index("v[0]")
 
 
 class TestObjective:
