@@ -48,12 +48,16 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+_WRITE_SLICE = 1 << 20  # characters; each write encodes one slice, not the whole text
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start:start + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -45,6 +45,8 @@ class ParseError(ValueError):
 
 
 def _require(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: must be an object")
     if key not in obj:
         raise ParseError(f"{where}: missing field '{key}'")
     return obj[key]
@@ -76,12 +78,16 @@ def _integer(obj: dict, key: str, where: str) -> int:
 
 
 def _load_json(text: str | bytes, what: str) -> dict:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         doc = json.loads(text)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{what}: not UTF-8 text (byte {e.start})") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{what}: invalid JSON at line {e.lineno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # an over-long integer, too deep nesting
+        raise ParseError(f"{what}: invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{what}: top-level value must be an object")
     version = doc.get("format_version")

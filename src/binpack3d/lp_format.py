@@ -5,14 +5,15 @@ the common CPLEX/Gurobi grammar: a quadratic product inside a constraint
 is written as a ``[ ... ]`` block, which restricts quadratic models to LP
 output; MPS output accepts linearized models only.
 
-Both emitters read the model's flat row and variable arrays and build
-the text in chunks of about ``_CHUNK_LINES`` lines, so the per-line
-strings of the whole text never exist at once.
+No line and no term is formatted on its own.  Each distinct number is
+formatted once, with its separators (``" 0.5\\n"``, ``"- 2 "``); row
+names, variable names and these number strings are then gathered by
+index into fixed-stride parts, and the parts of about ``_CHUNK_LINES``
+lines are joined at a time.  MPS columns come from one stable sort of the
+objective and row terms by variable.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
@@ -20,9 +21,14 @@ from .model import BINARY, KINDS, SENSES, Model
 
 _BINARY = KINDS.index(BINARY)
 
-_CHUNK_LINES = 1 << 16
+# Small chunks keep the gathered parts of one chunk, not of the whole text,
+# alive next to the finished chunks (the peak is the final join).
+_CHUNK_LINES = 1 << 12
 
 _MPS_SENSE = {"<=": "L", ">=": "G", "=": "E"}
+
+_MARKERS = ("    MARKER M1 'MARKER' 'INTORG'\n", "    MARKER M2 'MARKER' 'INTEND'\n",
+            "    MARKER M3 'MARKER' 'INTEND'\n")
 
 
 class UnsupportedModeError(ValueError):
@@ -42,106 +48,225 @@ def _signed(value: float) -> str:
     return f"- {_num(-value)}" if value < 0 else f"+ {_num(value)}"
 
 
-class _Formatted(dict):
-    """``fmt(value)`` for each distinct value, formatted once."""
-
-    def __init__(self, fmt) -> None:
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, value: float) -> str:
-        text = self[value] = self.fmt(value)
-        return text
+def _objects(items) -> np.ndarray:
+    out = np.empty(len(items), dtype=object)
+    out[:] = items
+    return out
 
 
-class _Text:
-    """Output lines, joined into a text chunk by each ``flush``.
+class _Numbers:
+    """``numbers[values]``: the text ``fmt(v)`` of each value, formatted
+    once per distinct value of ``values`` (as Python floats)."""
 
-    Writers append to ``lines`` and flush about every ``_CHUNK_LINES``
-    lines.
+    def __init__(self, values: np.ndarray, fmt) -> None:
+        self.keys = np.unique(values)  # ±0.0 share a key; both print "0"
+        self.text = _objects([fmt(v) for v in self.keys.tolist()])
+
+    def __getitem__(self, values: np.ndarray) -> np.ndarray:
+        return self.text[np.searchsorted(self.keys, values)]
+
+
+def _take(table, index: np.ndarray):
+    """A field whose line i reads ``table[index[i]]``."""
+    return lambda lo, hi: table[index[lo:hi]]
+
+
+def _take_sorted(items: list[str], index: np.ndarray):
+    """A field whose line i reads ``items[index[i]]``, for a nondecreasing
+    ``index``: each chunk converts only the slice of ``items`` it spans."""
+
+    def field(lo: int, hi: int) -> np.ndarray:
+        first = index[lo]
+        return _objects(items[first:index[hi - 1] + 1])[index[lo:hi] - first]
+
+    return field
+
+
+def _lines(out: list[str], n: int, *fields, cuts: dict[int, str] | None = None) -> None:
+    """Append lines 0..n-1 to ``out``, joined at most ``_CHUNK_LINES`` at a time.
+
+    Line i is its fields concatenated; a field is a constant string, a
+    sequence (item i) or a function of (lo, hi) giving the items of lines
+    lo..hi-1.  ``cuts`` maps a line number (up to n) to text put before it.
     """
+    cuts = cuts or {}
+    bounds = sorted({*range(0, n, _CHUNK_LINES), *cuts, n})
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo in cuts:
+            out.append(cuts[lo])
+        parts = np.empty((hi - lo, len(fields)), dtype=object)
+        for k, field in enumerate(fields):
+            if callable(field):
+                field = field(lo, hi)
+            elif not isinstance(field, str):
+                field = field[lo:hi]
+            parts[:, k] = field
+        out.append("".join(parts.ravel().tolist()))
+    if n in cuts:
+        out.append(cuts[n])
 
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.chunks: list[str] = []
 
-    def flush(self) -> None:
-        lines = self.lines
-        lines.append("")  # every chunk ends with a newline
-        self.chunks.append("\n".join(lines))
-        lines.clear()
-
-    def join(self) -> str:
-        self.flush()
-        return "".join(self.chunks)
+def _wrapped(out: list[str], indent: str, n: int, *fields) -> None:
+    """Parts 0..n-1 eight to a line, each line led by ``indent``."""
+    if n:
+        seps = np.full(n, " ", dtype=object)
+        seps[0], seps[8::8] = indent, "\n" + indent
+        _lines(out, n, seps, *fields)
+        out.append("\n")
 
 
-def _wrap(out: list[str], parts: list[str], indent: str = "  ",
-          per_line: int = 8) -> None:
-    for start in range(0, len(parts), per_line):
-        out.append(indent + " ".join(parts[start:start + per_line]))
+def _objective(model: Model) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.array([idx for idx, _ in model.objective], dtype=np.int64)
+    return idx, np.array([coef for _, coef in model.objective], dtype=np.float64)
+
+
+def _bounds(reg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whether each variable is binary, and its bounds."""
+    return (np.frombuffer(reg.kinds, dtype=np.uint8) == _BINARY,
+            np.frombuffer(reg.lb), np.frombuffer(reg.ub))
+
+
+_ROW_SEPARATORS = _objects(["", " ", "\n  "])
+_Q_LEADS = _objects(["+ [ ", " "])
+
+
+def _separators(part: np.ndarray) -> np.ndarray:
+    """What goes before part k of a row: nothing before part 0, a line
+    break before parts 8, 16, ... and a space before the rest."""
+    return _ROW_SEPARATORS[np.where(part % 8, 1, 2 * (part > 0))]
+
+
+def _constraint_rows(out: list[str], rows, names: np.ndarray, signed: _Numbers) -> None:
+    """The ``Subject To`` rows, 1/4 ``_CHUNK_LINES`` rows at a time.
+
+    A row is a head (" ", name, ":\\n  "), its parts, then its sense tag
+    and right-hand side.  A linear part is three slots: separator, signed
+    coefficient and variable name; the separator starts a new line before
+    every eighth part.  The quadratic block is one more part: separator,
+    then five slots per product, its closing " ]" led by the sense tag.
+    """
+    indptr = np.frombuffer(rows.indptr, dtype=np.int64)
+    cols, coefs = np.frombuffer(rows.cols, dtype=np.int32), np.frombuffer(rows.coefs)
+    qrows = np.frombuffer(rows.qrows, dtype=np.int32)
+    qa, qb = np.frombuffer(rows.qa, dtype=np.int32), np.frombuffer(rows.qb, dtype=np.int32)
+    qcoefs = np.frombuffer(rows.qcoefs)
+    senses, rhs = np.frombuffer(rows.senses, dtype=np.uint8), np.frombuffer(rows.rhs)
+    tags = _objects([f"{close}\n  {sense} " for close in ("", " ]") for sense in SENSES])
+    rhs_text = _Numbers(rhs, lambda v: _num(v) + "\n")
+    block = _CHUNK_LINES // 4  # a row takes three lines or more
+    for lo in range(0, len(rows), block):
+        hi = min(lo + block, len(rows))
+        base, stop = indptr[lo], indptr[hi]
+        starts = indptr[lo:hi] - base
+        nt = np.diff(indptr[lo:hi + 1])
+        q0, q1 = np.searchsorted(qrows, (lo, hi))
+        qrow = qrows[q0:q1] - lo
+        nq = np.bincount(qrow, minlength=hi - lo)
+        has_q = nq > 0
+        width = 5 + 3 * nt + has_q + 5 * nq
+        end = np.cumsum(width)
+        head = end - width
+        slots = np.empty(end[-1], dtype=object)
+        slots[head], slots[head + 1], slots[head + 2] = " ", rows.names[lo:hi], ":\n  "
+        row = np.repeat(np.arange(hi - lo), nt)
+        part = np.arange(stop - base) - starts[row]
+        at = head[row] + 3 + 3 * part
+        slots[at] = _separators(part)
+        slots[at + 1] = signed[coefs[base:stop]]
+        slots[at + 2] = names[cols[base:stop]]
+        if q1 > q0:
+            quad = np.flatnonzero(has_q)
+            at = head[quad] + 3 + 3 * nt[quad]
+            slots[at] = _separators(nt[quad])
+            product = np.arange(q1 - q0) - (np.cumsum(nq) - nq)[qrow]
+            at = head[qrow] + 4 + 3 * nt[qrow] + 5 * product
+            slots[at] = _Q_LEADS[np.minimum(product, 1)]
+            slots[at + 1] = signed[qcoefs[q0:q1]]
+            slots[at + 2], slots[at + 3] = names[qa[q0:q1]], " * "
+            slots[at + 4] = names[qb[q0:q1]]
+        slots[end - 2] = tags[senses[lo:hi] + 3 * has_q]
+        slots[end - 1] = rhs_text[rhs[lo:hi]]
+        out.append("".join(slots.tolist()))
 
 
 def emit_lp(model: Model) -> str:
     """Render the model as LP text."""
-    reg = model.registry
     rows = model.constraints
-    names = reg.names
-    signed = _Formatted(_signed)
-    num = _Formatted(_num)
-    text = _Text()
-    out = text.lines
-    out.append(f"\\ Model for instance {model.instance.name}")
-    out.append("Minimize")
-    out.append(" obj:")
-    _wrap(out, [f"{signed[coef]} {names[idx]}" for idx, coef in model.objective])
-    out.append("Subject To")
-    indptr, qrows = rows.indptr, rows.qrows
-    q = 0
-    block = _CHUNK_LINES // 4  # a row takes three lines or more
-    for lo in range(0, len(rows), block):
-        hi = min(lo + block, len(rows))
-        base, end = indptr[lo], indptr[hi]
-        terms = [f"{signed[coef]} {names[idx]}"
-                 for idx, coef in zip(rows.cols[base:end], rows.coefs[base:end])]
-        for row in range(lo, hi):
-            parts = terms[indptr[row] - base:indptr[row + 1] - base]
-            qparts = []
-            while q < len(qrows) and qrows[q] == row:
-                qparts.append(f"{signed[rows.qcoefs[q]]} {names[rows.qa[q]]}"
-                              f" * {names[rows.qb[q]]}")
-                q += 1
-            if qparts:
-                parts.append("+ [ " + " ".join(qparts) + " ]")
-            out.append(f" {rows.names[row]}:")
-            if len(parts) <= 8:  # most rows: one line, without the call
-                out.append("  " + " ".join(parts))
-            else:
-                _wrap(out, parts)
-            out.append(f"  {SENSES[rows.senses[row]]} {num[rows.rhs[row]]}")
-        text.flush()
-    out.append("Bounds")
-    for name, kind, lb, ub in zip(names, reg.kinds, reg.lb, reg.ub):
-        if kind == _BINARY:
-            if ub == 0:
-                out.append(f" {name} = 0")
-            continue
-        out.append(f" {num[lb]} <= {name} <= {num[ub]}")
-        if len(out) >= _CHUNK_LINES:
-            text.flush()
-    out.append("Binaries")
-    _wrap(out, [name for name, kind in zip(names, reg.kinds) if kind == _BINARY], indent=" ")
-    out.append("End")
-    return text.join()
+    names = _objects(model.registry.names)
+    binary, lb, ub = _bounds(model.registry)
+    obj_idx, obj_coefs = _objective(model)
+    signed = _Numbers(np.concatenate([obj_coefs, np.frombuffer(rows.coefs),
+                                      np.frombuffer(rows.qcoefs)]),
+                      lambda v: _signed(v) + " ")
+    out = [f"\\ Model for instance {model.instance.name}\nMinimize\n obj:\n"]
+    _wrapped(out, "  ", len(obj_idx), _take(signed, obj_coefs), _take(names, obj_idx))
+    out.append("Subject To\n")
+    _constraint_rows(out, rows, names, signed)
+    out.append("Bounds\n")
+    shown = np.flatnonzero(~binary | (ub == 0))
+    before = np.full(len(shown), " ", dtype=object)
+    after = np.full(len(shown), " = 0\n", dtype=object)
+    cont = ~binary[shown]
+    low, high = lb[shown[cont]], ub[shown[cont]]
+    before[cont] = _Numbers(low, lambda v: f" {_num(v)} <= ")[low]
+    after[cont] = _Numbers(high, lambda v: f" <= {_num(v)}\n")[high]
+    _lines(out, len(shown), before, _take(names, shown), after)
+    out.append("Binaries\n")
+    binaries = np.flatnonzero(binary)
+    _wrapped(out, " ", len(binaries), _take(names, binaries))
+    out.append("End\n")
+    return "".join(out)
 
 
-def _column_entries(rows, order: np.ndarray):
-    """(row, coefficient) of each linear term, in the order ``order`` gives."""
-    row_of = rows.row_of()
-    coefs = np.frombuffer(rows.coefs)
-    for lo in range(0, len(order), _CHUNK_LINES):
-        sel = order[lo:lo + _CHUNK_LINES]
-        yield from zip(row_of[sel].tolist(), coefs[sel].tolist())
+def _mps_columns(out: list[str], model: Model) -> None:
+    """The ``COLUMNS`` entries, with integer markers where the kind flips.
+
+    There is one entry per objective term, per variable in no term
+    ("obj 0") and per row term, in that order; a stable sort by variable
+    then lists a variable's objective entries first and its rows in model
+    order.
+    """
+    reg, rows = model.registry, model.constraints
+    obj_idx, obj_coefs = _objective(model)
+    cols = np.frombuffer(rows.cols, dtype=np.int32)
+    used = np.zeros(len(reg), dtype=bool)
+    used[cols], used[obj_idx] = True, True
+    unused = np.flatnonzero(~used)
+    var = np.concatenate([obj_idx, unused, cols], dtype=np.int32)
+    order = np.argsort(var, kind="stable")
+    var = var[order]
+    entry_rows = np.concatenate([np.full(len(obj_idx) + len(unused), -1, dtype=np.int32),
+                                 rows.row_of()])
+    coefs = np.concatenate([obj_coefs, np.zeros(len(unused)), np.frombuffer(rows.coefs)])
+    numbers = _Numbers(coefs, lambda v: f" {_num(v)}\n")
+    row_names = np.empty(len(rows) + 1, dtype=object)
+    row_names[:-1], row_names[-1] = rows.names, "obj"
+
+    binary = _bounds(reg)[0]
+    flips = np.flatnonzero(np.diff(binary.astype(np.int8), prepend=0))
+    cuts = {pos: _MARKERS[0] if binary[v] else _MARKERS[1]
+            for pos, v in zip(np.searchsorted(var, flips).tolist(), flips.tolist())}
+    if len(binary) and binary[-1]:
+        cuts[len(var)] = _MARKERS[2]
+    _lines(out, len(var), "    ", _take_sorted(reg.names, var), " ",
+           lambda lo, hi: row_names[entry_rows[order[lo:hi]]],
+           lambda lo, hi: numbers[coefs[order[lo:hi]]], cuts=cuts)
+
+
+def _mps_bounds(out: list[str], reg) -> None:
+    """A variable's ``BOUNDS`` lines: FX, BV, or LO (when lb != 0) then UP."""
+    binary, lb, ub = _bounds(reg)
+    low = ~binary & (lb != 0)
+    count = 1 + low
+    kind = np.repeat(np.where(binary, np.where(ub == 0, 0, 1), 3), count)
+    kind[(np.cumsum(count) - count)[low]] = 2
+    bounded = np.repeat(np.arange(len(reg)), count)
+    suffix = _objects([" 0\n", "\n", None, None])[kind]
+    valued = kind >= 2
+    value = np.where(kind == 2, lb[bounded], ub[bounded])[valued]
+    suffix[valued] = _Numbers(value, lambda v: f" {_num(v)}\n")[value]
+    prefixes = _objects([" FX BND ", " BV BND ", " LO BND ", " UP BND "])
+    _lines(out, len(kind), _take(prefixes, kind), _take_sorted(reg.names, bounded), suffix)
 
 
 def emit_mps(model: Model) -> str:
@@ -149,73 +274,19 @@ def emit_mps(model: Model) -> str:
     if model.mode != "linearized":
         raise UnsupportedModeError(
             "MPS output requires a linearized model; quadratic rows have no MPS form")
-    reg = model.registry
     rows = model.constraints
-    num = _Formatted(_num)
-    text = _Text()
-    out = text.lines
-    out.append(f"NAME {model.instance.name}")
-    out.append("ROWS")
-    out.append(" N obj")
-    tags = [f" {_MPS_SENSE[sense]} " for sense in SENSES]
-    for lo in range(0, len(rows), _CHUNK_LINES):
-        hi = lo + _CHUNK_LINES
-        out.extend([tags[sense] + name
-                    for sense, name in zip(rows.senses[lo:hi], rows.names[lo:hi])])
-        text.flush()
-
-    # Column-major entries, variables in registry order: a variable's
-    # objective entries first, then its rows in model order (the sort is
-    # stable and the terms are stored row by row).
-    cols = np.frombuffer(rows.cols, dtype=np.int32)
-    counts = np.bincount(cols, minlength=len(reg)).tolist()
-    entries = _column_entries(rows, np.argsort(cols, kind="stable"))
-    objective: dict[int, list[float]] = {}
-    for idx, coef in model.objective:
-        objective.setdefault(idx, []).append(coef)
-
-    out.append("COLUMNS")
-    in_integer = False
-    for idx, (name, kind) in enumerate(zip(reg.names, reg.kinds)):
-        is_int = kind == _BINARY
-        if is_int and not in_integer:
-            out.append("    MARKER M1 'MARKER' 'INTORG'")
-            in_integer = True
-        elif not is_int and in_integer:
-            out.append("    MARKER M2 'MARKER' 'INTEND'")
-            in_integer = False
-        head = f"    {name} "
-        obj_coefs = objective.get(idx, ())
-        for coef in obj_coefs:
-            out.append(f"{head}obj {num[coef]}")
-        for row, coef in islice(entries, counts[idx]):
-            out.append(f"{head}{rows.names[row]} {num[coef]}")
-        if not obj_coefs and not counts[idx]:
-            out.append(f"{head}obj 0")
-        if len(out) >= _CHUNK_LINES:
-            text.flush()
-    if in_integer:
-        out.append("    MARKER M3 'MARKER' 'INTEND'")
-    del entries
-
-    out.append("RHS")
-    for row, rhs in enumerate(rows.rhs):
-        if rhs != 0:
-            out.append(f"    RHS {rows.names[row]} {num[rhs]}")
-            if len(out) >= _CHUNK_LINES:
-                text.flush()
-    out.append("BOUNDS")
-    for name, kind, lb, ub in zip(reg.names, reg.kinds, reg.lb, reg.ub):
-        if kind == _BINARY:
-            if ub == 0:
-                out.append(f" FX BND {name} 0")
-            else:
-                out.append(f" BV BND {name}")
-        else:
-            if lb != 0:
-                out.append(f" LO BND {name} {num[lb]}")
-            out.append(f" UP BND {name} {num[ub]}")
-        if len(out) >= _CHUNK_LINES:
-            text.flush()
-    out.append("ENDATA")
-    return text.join()
+    out = [f"NAME {model.instance.name}\nROWS\n N obj\n"]
+    tags = _objects([f" {_MPS_SENSE[sense]} " for sense in SENSES])
+    _lines(out, len(rows), _take(tags, np.frombuffer(rows.senses, dtype=np.uint8)),
+           rows.names, "\n")
+    out.append("COLUMNS\n")
+    _mps_columns(out, model)
+    out.append("RHS\n")
+    rhs = np.frombuffer(rows.rhs)
+    nonzero = np.flatnonzero(rhs != 0)
+    _lines(out, len(nonzero), "    RHS ", _take_sorted(rows.names, nonzero),
+           _take(_Numbers(rhs[nonzero], lambda v: f" {_num(v)}\n"), rhs[nonzero]))
+    out.append("BOUNDS\n")
+    _mps_bounds(out, model.registry)
+    out.append("ENDATA\n")
+    return "".join(out)

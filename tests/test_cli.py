@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import locale
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binpack3d import cli
 from binpack3d.cli import main
 from binpack3d.instance_io import load_bundled, parse_packing, write_packing
 from binpack3d.model import expected_constraint_count, expected_variable_count
@@ -256,6 +258,33 @@ class TestReportRender:
              "--view", "layers", "--out", str(svg_path)], capsys)
         assert code == 0
         assert svg_path.read_text().startswith("<svg")
+
+
+class TestAtomicWrite:
+    def test_text_of_several_slices_round_trips(self, tmp_path):
+        encoding = locale.getpreferredencoding(False)
+        size = cli._WRITE_SLICE
+        # "é" takes the bytes on both sides of the first 1 MiB boundary; the
+        # four-byte letter sits at the end of the second slice
+        text = "a" * (size - 1) + "é" + "b" * (size - 2) + "\U0001d538" + "c\n" * size
+        try:
+            expected = text.encode(encoding)
+        except UnicodeEncodeError:
+            pytest.skip(f"the {encoding} locale encoding has no multi-byte letters")
+        path = tmp_path / "out.txt"
+        cli._atomic_write(str(path), text)
+        assert path.read_bytes() == expected
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failing_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("before\n")
+        # a lone surrogate has no encoding: the second slice fails to write
+        text = "x" * cli._WRITE_SLICE + "\ud800"
+        with pytest.raises(UnicodeEncodeError):
+            cli._atomic_write(str(path), text)
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert path.read_text() == "before\n"
 
 
 class TestUsageErrors:

@@ -106,6 +106,16 @@ class TestParseInstance:
         with pytest.raises(ParseError, match=rf"{where}\[0\]: .*volume must be a finite"):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("text,message", [
+        (json.dumps(sample_doc(cases=[1])), r"^cases\[0\]: must be an object$"),
+        (json.dumps(sample_doc(bins=["length"])), r"^bins\[0\]: must be an object$"),
+        (b'{"format_version": 1, "name": "\xff"}', r"^instance: not UTF-8 text \(byte 31\)$"),
+        ("[" * 100_000, r"^instance: invalid JSON: maximum recursion depth"),
+        ('{"format_version": ' + "9" * 5000 + "}", r"^instance: invalid JSON: Exceeds")])
+    def test_malformed_document_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_instance(text)
+
     def test_instance_round_trip(self):
         inst = parse_instance(json.dumps(sample_doc(support_threshold=0.5)))
         again = parse_instance(write_instance(inst))
@@ -206,4 +216,11 @@ class TestPackingDocuments:
         doc = json.loads(write_packing(inst, self.make_pack(inst)))
         doc["placements"].pop()
         with pytest.raises(ParseError):
+            parse_packing(json.dumps(doc), inst)
+
+    def test_placement_that_is_not_an_object_rejected(self):
+        inst = parse_instance(json.dumps(sample_doc()))
+        doc = json.loads(write_packing(inst, self.make_pack(inst)))
+        doc["placements"][1] = None
+        with pytest.raises(ParseError, match=r"^placements\[1\]: must be an object$"):
             parse_packing(json.dumps(doc), inst)

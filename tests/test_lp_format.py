@@ -1,13 +1,19 @@
 import hashlib
+import math
 import pathlib
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lp_reference
+from binpack3d import lp_format
 from binpack3d.geometry import BinSpec, CaseSpec, Instance, orientation_set
 from binpack3d.instance_io import load_bundled
 from binpack3d.lp_format import UnsupportedModeError, emit_lp, emit_mps
-from binpack3d.model import build_model
+from binpack3d.model import BINARY, CONTINUOUS, SENSES, Model, build_model
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -204,3 +210,112 @@ def test_mixed_bin_types_output_bytes_pinned(support, mode, big_m, orientations)
         text = emit_lp(model) if fmt == "lp" else emit_mps(model)
         assert len(text) == size, fmt
         assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt
+
+
+# --- differential tests against the per-line reference emitters -----------
+
+# Values whose text takes every branch of the number format: signed zeros,
+# integers on both sides of 1e15, tiny and large magnitudes.
+EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 1e15, -1e15, 999999999999999.0,
+               -999999999999999.0, 1e-300, -1e-300, 2.0 ** 53, -(2.0 ** 60), 1e16,
+               123456789012.0, 0.1, 3e20)
+values = st.one_of(st.sampled_from(EDGE_VALUES),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+def synthetic_model(variables, objective, rows, mode="linearized") -> Model:
+    """A model straight from its parts.
+
+    ``variables`` is a list of (kind, lb, ub); ``objective`` a list of
+    (variable, coefficient); ``rows`` a list of (sense, rhs, terms,
+    products), terms being (variable, coefficient) and products (a, b,
+    coefficient).
+    """
+    model = Model(Instance("synthetic", (CaseSpec(0, 1, 1, 1),), (BinSpec(0, 2, 2, 2),)),
+                  mode, None, "paper", 4)
+    for v, (kind, lb, ub) in enumerate(variables):
+        model.registry.add("v", [str(v)], kind, lb, ub)
+    model.objective.extend(objective)
+    store = model.constraints
+    for r, (sense, rhs, terms, products) in enumerate(rows):
+        store.names.append(f"row[{r}]")
+        store.senses.append(SENSES.index(sense))
+        store.rhs.append(rhs)
+        store.cols.extend(col for col, _ in terms)
+        store.coefs.extend(coef for _, coef in terms)
+        store.indptr.append(len(store.cols))
+        for a, b, coef in products:
+            store.qrows.append(r)
+            store.qa.append(a)
+            store.qb.append(b)
+            store.qcoefs.append(coef)
+    return model
+
+
+def assert_same_text(model: Model) -> None:
+    assert emit_lp(model) == lp_reference.emit_lp(model)
+    if model.mode == "linearized":
+        assert emit_mps(model) == lp_reference.emit_mps(model)
+
+
+@st.composite
+def synthetic_models(draw):
+    variables = draw(st.lists(st.one_of(
+        st.tuples(st.just(BINARY), st.just(0.0), st.sampled_from([0.0, 1.0, -0.0])),
+        st.tuples(st.just(CONTINUOUS), values, values)), min_size=1, max_size=30))
+    var = st.integers(0, len(variables) - 1)
+    objective = draw(st.lists(st.tuples(var, values), max_size=12))
+    quadratic = draw(st.booleans())
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(SENSES), values,
+        st.integers(0, 20).flatmap(lambda k: st.sampled_from([0, 1, 7, 8, 9, 16, 17, k]))
+        .flatmap(lambda k: st.lists(st.tuples(var, values), min_size=k, max_size=k)),
+        st.lists(st.tuples(var, var, values), max_size=3 if quadratic else 0)),
+        max_size=25))
+    return synthetic_model(variables, objective, rows,
+                           "quadratic" if quadratic else "linearized")
+
+
+class TestAgainstReference:
+    """The gathered emitters reproduce the per-line reference byte for byte."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(synthetic_models(), st.sampled_from([4, 5, 8, 1 << 12]))
+    def test_synthetic_models(self, model, chunk_lines):
+        # small chunks put chunk boundaries inside rows, columns and sections
+        with mock.patch.object(lp_format, "_CHUNK_LINES", chunk_lines):
+            assert_same_text(model)
+
+    def test_every_branch_in_one_model(self):
+        """Kinds B/C/B/C (several markers), an empty column ("obj 0"), an FX
+        bound, a repeated objective index, rows of 0, 8, 9, 16 and 17 parts
+        and a row whose only part is a product."""
+        variables = [(BINARY, 0.0, 1.0), (CONTINUOUS, -3.5, 1e15), (BINARY, 0.0, 0.0),
+                     (BINARY, 0.0, 1.0), (CONTINUOUS, 0.0, 2.0), (CONTINUOUS, -0.0, 1e-300)]
+        objective = [(1, 2.0), (3, -0.0), (1, -1e15)]
+        rows = [("<=", 0.0, [], []), (">=", -0.0, [(0, 1.0)] * 8, []),
+                ("=", 1e15, [(v % 4, -0.5 * v) for v in range(9)], []),
+                ("<=", 2.0 ** 60, [(1, 3.0)] * 16, []), ("=", -1e-300, [(3, 1e16)] * 17, [])]
+        assert_same_text(synthetic_model(variables, objective, rows))
+        quadratic = synthetic_model(variables, objective,
+                                    rows + [("<=", 1.0, [], [(0, 1, -1.0), (3, 3, 0.5)])],
+                                    "quadratic")
+        assert emit_lp(quadratic) == lp_reference.emit_lp(quadratic)
+        with pytest.raises(UnsupportedModeError):
+            emit_mps(quadratic)
+
+    def test_models_without_variables(self):
+        assert_same_text(synthetic_model([], [], []))
+        assert_same_text(synthetic_model([], [], [("<=", 1.0, [], [])]))
+
+    def test_nan_coefficient_raises(self):
+        model = synthetic_model([(CONTINUOUS, 0.0, 1.0)], [], [("<=", 1.0, [(0, math.nan)], [])])
+        for emit in (emit_lp, emit_mps):
+            with pytest.raises(ValueError):
+                emit(model)
+
+    @pytest.mark.parametrize("number", range(3, 8))
+    @pytest.mark.parametrize("support", [None, 0.8])
+    def test_bundled(self, number, support):
+        for mode in ("linearized", "quadratic"):
+            assert_same_text(build_model(load_bundled(number), support=support, mode=mode))
