@@ -6,19 +6,27 @@ allowed orientations.  Anchors are corner points of placed cases plus the
 bin-floor origin; the z coordinate always comes from dropping the case
 onto the highest surface below its footprint, which keeps placements
 overlap-free by construction.  A dense anchor grid is tried before giving
-up on a case; that search first drops the rows whose floor overhangs the
-bin's top (a footprint of the rows' least length and width overlaps a
-subset of the boxes each row's footprint does, even under rounding, so no
-row rests below its floor).  One placement search settles each bin once:
-the in-bin anchors of every allowed orientation go through
-``rest_heights`` and the support check as one batch of rows with per-row
-dimensions, and each orientation's best row is then picked by
-(score, z, y, x) as if it had been scanned alone.  Resting heights,
-support credit and the boundary and support verdicts come from
-``geometry``, the rules the validator judges by.  A case that fits nowhere
-is repaired: a few cases are taken out while their dependents stay
-supported (``_evict``), the stuck case goes in first and the evicted ones
-are re-placed largest-first, or the attempt is undone (``_undo``).
+up on a case, and is used outright while a bin holds at most 8 cases; that
+search first drops the rows whose floor overhangs the bin's top (a
+footprint of the rows' least length and width overlaps a subset of the
+boxes each row's footprint does, even under rounding, so no row rests
+below its floor).  Each (anchor, orientation) row is a cell: where the box
+rests there and whether it fits.  One search settles a bin's cells of
+every allowed orientation through ``rest_heights`` and the support check
+as one batch, and picks each orientation's feasible cell lowest in
+(z, y, x), which is its first in (score, z, y, x) order because the score
+does not fall as z rises.  On corner anchors a bin keeps the cells
+between searches, per case type, and settles again only the cells of new
+corners and those that a box added or removed since overlaps by more than
+``tol - _SLACK``: a cell's resting height depends only on the boxes it
+overlaps by more than ``tol``, its support credit only on boxes it
+overlaps at all, so every other cell is what a fresh settle would give.
+Resting heights, support credit and the boundary and support verdicts
+come from ``geometry``, the rules the validator judges by.  A case that
+fits nowhere is repaired: a few cases are taken out while their
+dependents stay supported (``_evict``), the stuck case goes in first and
+the evicted ones are re-placed largest-first, or the attempt is undone
+(``_undo``).
 
 The search is the restart loop: restart r constructs with the insertion
 order and orientation noise drawn from ``random.Random(f"{seed}:{r}")``,
@@ -38,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    DEFAULT_TOL,
     Instance,
     Packing,
     Placement,
@@ -53,6 +62,10 @@ from .geometry import (
 from .solvers import DETERMINISTIC_STEPS_PER_SECOND, HeuristicResult, SolverConfig
 
 _ANCHOR_CHUNK = 4096
+# a box re-settles the cells it overlaps by more than tol - _SLACK
+_SLACK = 2 * DEFAULT_TOL
+# bound on the (cells x logged boxes) mask of ``_touched``
+_HIT_CELLS = 1 << 16
 
 
 def _new_stats() -> dict[str, int]:
@@ -64,7 +77,13 @@ def _new_stats() -> dict[str, int]:
 class _BinState:
     """Mutable working set of one bin's placed boxes: the item records and,
     row for row, their boxes as a ``(k, 6)`` array.  The top, the support
-    pairs and the anchors are cached until the next change."""
+    pairs and the anchor grid are cached until the next change.
+
+    The corner anchors are append-only slots: each corner of a placed box
+    (and the bin-floor origin, for good) has a slot that counts the boxes
+    with that corner, and is live while the count is above 0.  Every box
+    added or removed goes to ``log``, from which the kept ``cells`` of each
+    case type learn which of their cells to settle again."""
 
     def __init__(self, inst: Instance, j: int):
         self.index = j
@@ -74,11 +93,36 @@ class _BinState:
         # rows: (case_index, x, y, z, dx, dy, dz)
         self.items: list[tuple] = []
         self._boxes = np.empty((0, 6))
+        self._slot: dict[tuple[float, float], int] = {}
+        self._xy = np.empty((64, 2))
+        self._uses = np.zeros(64, dtype=int)
+        self._use((self.x0, 0.0), 1)
+        # (x, y, dx, dy) of every box added or removed, in order
+        self.log: list[tuple] = []
+        self.cells: dict[tuple, _Cells] = {}
         self._changed()
 
     def _changed(self) -> None:
-        self._top = self._pairs = None
-        self._anchors: dict[bool, np.ndarray] = {}
+        self._top = self._pairs = self._grid = None
+
+    def _use(self, corner: tuple[float, float], step: int) -> None:
+        """Add ``step`` to the use count of ``corner``'s slot."""
+        slot = self._slot.get(corner)
+        if slot is None:
+            slot = self._slot[corner] = len(self._slot)
+            if slot == len(self._uses):
+                self._xy = np.concatenate((self._xy, np.empty_like(self._xy)))
+                self._uses = np.concatenate((self._uses, np.zeros_like(self._uses)))
+            self._xy[slot] = corner
+        self._uses[slot] += step
+
+    def _count(self, item: tuple, step: int) -> None:
+        """Log ``item``'s box and add ``step`` to its corners' slots."""
+        _, x, y, _, dx, dy, _ = item
+        self.log.append((x, y, dx, dy))
+        for corner in ((x + dx, y), (x, y + dy), (x, y)):
+            self._use(corner, step)
+        self._changed()
 
     def arrays(self) -> np.ndarray:
         """The items' boxes as a ``(k, 6)`` array, in item order."""
@@ -99,37 +143,98 @@ class _BinState:
         for pos, it in enumerate(self.items):
             if it[0] == case_index:
                 self._boxes = np.delete(self._boxes, pos, axis=0)
-                self._changed()
+                self._count(it, -1)
                 return self.items.pop(pos)
         raise KeyError(case_index)
 
     def restore(self, item: tuple) -> None:
         self.items.append(item)
         self._boxes = np.vstack((self._boxes, item[1:]))
-        self._changed()
+        self._count(item, 1)
 
     def top(self) -> float:
         if self._top is None:
             self._top = float((self._boxes[:, 2] + self._boxes[:, 5]).max(initial=0.0))
         return self._top
 
+    def slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every corner slot's (x, y), live or not, and which are live."""
+        n = len(self._slot)
+        return self._xy[:n], self._uses[:n] > 0
+
     def anchors(self, dense: bool = False) -> np.ndarray:
-        """Candidate (x, y) anchors, sorted by x then y: the bin-floor origin
-        plus placed-case corners, or with ``dense`` every pair of corner
-        coordinates."""
-        if dense not in self._anchors:
+        """Candidate (x, y) anchors, sorted by x then y: the live corner
+        slots (the bin-floor origin plus placed-case corners), or with
+        ``dense`` every pair of corner coordinates."""
+        if not dense:
+            xy, live = self.slots()
+            xy = xy[live]
+            return xy[np.lexsort(xy.T[::-1])]
+        if self._grid is None:
             x, y, _, dx, dy, _ = self._boxes.T
-            if dense:
-                xs = np.unique(np.concatenate(([self.x0], x, x + dx)))
-                ys = np.unique(np.concatenate(([0.0], y, y + dy)))
-                pts = np.column_stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs))))
-            else:
-                # complex keys sort by real part, then imaginary: by x, then y
-                keys = np.unique(np.concatenate((
-                    [complex(self.x0, 0.0)], x + dx + 1j * y, x + 1j * (y + dy), x + 1j * y)))
-                pts = np.column_stack((keys.real, keys.imag))
-            self._anchors[dense] = pts
-        return self._anchors[dense]
+            xs = np.unique(np.concatenate(([self.x0], x, x + dx)))
+            ys = np.unique(np.concatenate(([0.0], y, y + dy)))
+            self._grid = np.column_stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs))))
+        return self._grid
+
+
+class _Cells:
+    """One bin's kept placement cells for one tuple of box dimensions
+    ``(a, b, c)``: per dimensions (row) and corner slot (column), where the
+    box rests, whether it fits there (in the bin, below its top, supported)
+    and whether that is still known (``fresh``: settled, and no box logged
+    since could have changed it).  ``seen`` counts the log entries applied."""
+
+    def __init__(self, dims: tuple, seen: int):
+        self.abc = np.array(dims)
+        shape = (len(dims), 0)
+        self.z = np.empty(shape)
+        self.fit, self.fresh, self.inbin = (np.empty(shape, dtype=bool) for _ in range(3))
+        self.seen = seen
+
+
+def _touched(xs, ys, a, b, boxes) -> np.ndarray:
+    """Which cells, ``a x b`` footprints at ``(xs, ys)`` with one row of
+    ``a`` and ``b`` per dimensions, some of ``boxes`` (rows x, y, dx, dy)
+    overlaps by more than ``tol - _SLACK`` along x and y.  Only such a box
+    can change a cell: its resting height comes from the boxes it overlaps
+    by more than ``tol``, its support credit from those it overlaps at all.
+    The boxes are tested ``_HIT_CELLS // cells`` at a time."""
+    reach = DEFAULT_TOL - _SLACK
+    hx, hy = xs + a - reach, ys + b - reach
+    hit = np.zeros(hx.shape, dtype=bool)
+    step = max(1, _HIT_CELLS // hx.size)
+    for start in range(0, len(boxes), step):
+        x, y, dx, dy = boxes[start:start + step].T
+        hit |= ((x < hx[..., None]) & (xs[:, None] < x + dx - reach)
+                & (y < hy[..., None]) & (ys[:, None] < y + dy - reach)).any(axis=2)
+    return hit
+
+
+def _lowest(z: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list:
+    """Per row of ``z`` (dims by anchor, inf where the box does not fit),
+    the lowest (z, y, x), or None."""
+    zmin = z.min(axis=1, keepdims=True)
+    y = np.where(z == zmin, ys, np.inf)
+    ymin = y.min(axis=1, keepdims=True)
+    xmin = np.where(y == ymin, xs, np.inf).min(axis=1)
+    return [low if low[0] < np.inf else None
+            for low in zip(zmin[:, 0].tolist(), ymin[:, 0].tolist(), xmin.tolist())]
+
+
+def _scored(lowest: list, dims: list[tuple], g_cur: float, opening: float,
+            weight: float) -> list:
+    """(score, z, y, x) of each dims' lowest feasible (z, y, x), or None.
+    Within one ``c``, ``weight*(z+c) + max(0, z+c-g_cur) + opening`` does
+    not fall as z rises, in floating point too, so the lowest cell is also
+    the first in (score, z, y, x) order."""
+    out = []
+    for low, (_, _, c) in zip(lowest, dims):
+        if low is not None:
+            top = low[0] + c
+            low = (weight * top + max(0.0, top - g_cur) + opening, *low)
+        out.append(low)
+    return out
 
 
 @dataclass
@@ -208,15 +313,17 @@ class _WorkState:
         best_key = None
         for bs in self.bins:
             opening = 0.0 if bs.items else self.inst.bins[bs.index].height
-            # the full anchor grid is small enough to use outright when few
-            # boxes are placed, and it finds tucked spots corners miss
-            anchors = bs.anchors(dense or len(bs.items) <= 8)
             fits = [k for k in allowed
                     if within_tol(max(overhang(bs.x0, dims[k][0], bs.x1),
                                       overhang(0.0, dims[k][1], bs.width),
                                       overhang(0.0, dims[k][2], bs.height)))]
-            spots = self._scan(bs, anchors, [dims[k] for k in fits], bs.top(), opening,
-                               self.weight[case_index], dense)
+            args = ([dims[k] for k in fits], bs.top(), opening, self.weight[case_index])
+            # the full anchor grid is small enough to use outright when few
+            # boxes are placed, and it finds tucked spots corners miss
+            if dense or len(bs.items) <= 8:
+                spots = self._scan(bs, bs.anchors(True), *args, dense)
+            else:
+                spots = self._corners(bs, *args)
             for k, spot in zip(fits, spots):
                 if spot is not None:
                     score, z, y, x = spot
@@ -237,39 +344,63 @@ class _WorkState:
         if not dims:
             return []
         xs, ys = anchors[:, 0], anchors[:, 1]
-        rows = [(within_tol(overhang(xs, a, bs.x1))
-                 & within_tol(overhang(ys, b, bs.width))).nonzero()[0] for a, b, _ in dims]
-        group = np.repeat(np.arange(len(dims)), [len(r) for r in rows])
-        rows = np.concatenate(rows)
-        abc = np.array(dims)[group]
+        abc = np.array(dims)
+        a, b, c = abc.T[:, :, None]
+        rows = within_tol(overhang(xs, a, bs.x1)) & within_tol(overhang(ys, b, bs.width))
+        if dense and rows.any():
+            # the floor: where a footprint of the least a and b of the rows
+            # rests, which no row rests below
+            some = rows.any(axis=1)
+            floor = rest_heights(bs.arrays(), xs, ys, a[some].min(), b[some].min())
+            keep = within_tol(overhang(floor, c, bs.height))
+            self.stats["rows_pruned"] += int((rows & ~keep).sum())
+            rows &= keep
+        z = np.full(rows.shape, np.inf)
+        for g, s, zs, fit in self._settle_rows(bs, rows, xs, ys, abc):
+            z[g[fit], s[fit]] = zs[fit]
+        return _scored(_lowest(z, xs, ys), dims, g_cur, opening, weight)
+
+    def _corners(self, bs: _BinState, dims: list[tuple],
+                 g_cur: float, opening: float, weight: float) -> list:
+        """``_scan`` over the bin's live corner anchors, from the cells kept
+        for ``dims``: only new slots' cells and cells that a box logged since
+        could touch are settled again."""
+        if not dims:
+            return []
+        cells = bs.cells.get(tuple(dims))
+        if cells is None:
+            cells = bs.cells[tuple(dims)] = _Cells(tuple(dims), len(bs.log))
+        xy, live = bs.slots()
+        xs, ys = xy[:, 0], xy[:, 1]
+        a, b, _ = cells.abc.T[:, :, None]
+        old = cells.z.shape[1]
+        if old and cells.seen < len(bs.log):
+            cells.fresh &= ~_touched(xs[:old], ys[:old], a, b, np.array(bs.log[cells.seen:]))
+        cells.seen = len(bs.log)
+        if len(xs) > old:
+            new = (len(dims), len(xs) - old)
+            inbin = (within_tol(overhang(xs[old:], a, bs.x1))
+                     & within_tol(overhang(ys[old:], b, bs.width)))
+            cells.inbin = np.concatenate((cells.inbin, inbin), axis=1)
+            cells.fresh = np.concatenate((cells.fresh, np.zeros(new, dtype=bool)), axis=1)
+            cells.fit = np.concatenate((cells.fit, np.zeros(new, dtype=bool)), axis=1)
+            cells.z = np.concatenate((cells.z, np.zeros(new)), axis=1)
+        rows = live & cells.inbin
+        for g, s, z, fit in self._settle_rows(bs, rows & ~cells.fresh, xs, ys, cells.abc):
+            cells.z[g, s], cells.fit[g, s], cells.fresh[g, s] = z, fit, True
+        z = np.where(rows & cells.fit, cells.z, np.inf)
+        return _scored(_lowest(z, xs, ys), dims, g_cur, opening, weight)
+
+    def _settle_rows(self, bs: _BinState, rows: np.ndarray, xs, ys, abc: np.ndarray):
+        """``_settle`` the rows marked in ``rows`` (dims by anchor),
+        ``_ANCHOR_CHUNK`` at a time: yields their dims and anchor indices,
+        resting heights and fit."""
+        group, anchor = rows.nonzero()
+        self.stats["rows_settled"] += len(group)
         arr = bs.arrays()
-        if dense and len(rows):
-            # the floor: where a footprint of the least a and b rests, which
-            # no row rests below
-            floor = rest_heights(arr, xs, ys, *abc[:, :2].min(axis=0))[rows]
-            keep = within_tol(overhang(floor, abc[:, 2], bs.height))
-            self.stats["rows_pruned"] += len(rows) - int(keep.sum())
-            rows, group, abc = rows[keep], group[keep], abc[keep]
-        xs, ys = xs[rows], ys[rows]
-        self.stats["rows_settled"] += len(rows)
-        best = [None] * len(dims)
-        for start in range(0, len(rows), _ANCHOR_CHUNK):
-            part = slice(start, start + _ANCHOR_CHUNK)
-            x, y, g = xs[part], ys[part], group[part]
-            a, b, c = abc[part].T
-            z, fit = self._settle(bs, arr, x, y, a, b, c)
-            if not fit.any():
-                continue
-            x, y, g, z, c = x[fit], y[fit], g[fit], z[fit], c[fit]
-            score = weight * (z + c) + np.maximum(0.0, z + c - g_cur) + opening
-            # each group's first row in (score, z, y, x) order
-            order = np.lexsort((x, y, z, score, g))
-            firsts = order[np.flatnonzero(np.diff(g[order], prepend=-1))]
-            for p in firsts.tolist():
-                cand = (float(score[p]), float(z[p]), float(y[p]), float(x[p]))
-                if best[g[p]] is None or cand < best[g[p]]:
-                    best[g[p]] = cand
-        return best
+        for start in range(0, len(group), _ANCHOR_CHUNK):
+            g, s = group[start:start + _ANCHOR_CHUNK], anchor[start:start + _ANCHOR_CHUNK]
+            yield (g, s, *self._settle(bs, arr, xs[s], ys[s], *abc[g].T))
 
     def _settle(self, bs: _BinState, arr: np.ndarray, xs, ys, a, b, c):
         """Resting heights of ``a x b x c`` boxes dropped at ``(xs, ys)``, and

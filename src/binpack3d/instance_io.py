@@ -23,8 +23,9 @@ Packing schema::
     }
 
 Cases expand by quantity in declaration order, bins likewise grouped by
-type, so index numbering is reproducible.  Fifteen benchmark instances
-ship with the package and are addressed as ``bundled:1`` .. ``bundled:15``.
+type, so index numbering is reproducible.  Each expands to at most
+``MAX_UNITS`` units in total.  Fifteen benchmark instances ship with the
+package and are addressed as ``bundled:1`` .. ``bundled:15``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from .geometry import BinSpec, CaseSpec, Instance, Packing, Placement, check_pac
 FORMAT_VERSION = 1
 
 BUNDLED_COUNT = 15
+
+# Every command expands an instance one object per case and bin unit.
+MAX_UNITS = 100_000
 
 
 class ParseError(ValueError):
@@ -141,6 +145,11 @@ def parse_instance(text: str | bytes) -> Instance:
             raise
         except ValueError as e:
             raise ParseError(f"{where}: {e}") from None
+
+    for what, specs in (("cases", case_specs), ("bins", bin_specs)):
+        units = sum(spec.quantity for spec in specs)
+        if units > MAX_UNITS:
+            raise ParseError(f"instance: {what} expand to {units} units, more than {MAX_UNITS}")
 
     threshold = doc.get("support_threshold")
     if threshold is not None:

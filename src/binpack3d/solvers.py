@@ -94,9 +94,12 @@ class HeuristicResult:
     """Best packing found plus the trace of best-objective improvements.
 
     ``restarts_run`` counts constructions.  ``stats`` counts the run's
-    work: ``best_spot_calls``, ``rows_settled`` (anchor rows whose resting
-    height was computed) and ``rows_pruned`` (anchor rows a dense search
-    dropped unsettled because their floor overhangs the bin's top),
+    work: ``best_spot_calls``, ``rows_settled`` (placement cells, one per
+    anchor and orientation, whose resting height and fit were computed; a
+    bin keeps its corner cells between searches and settles a cell again
+    only when a box that could change it was added or removed) and
+    ``rows_pruned`` (cells a dense search dropped unsettled because their
+    floor overhangs the bin's top),
     ``restarts_failed`` and ``restarts_rescued`` (restarts run beyond
     ``SolverConfig.restarts`` while none had packed yet), and
     ``repairs_attempted`` and ``repairs_undone``.  Under ``deterministic``

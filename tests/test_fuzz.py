@@ -1,12 +1,13 @@
 """Fuzzing the input boundaries: the instance, packing and value-file
-parsers, and the ``validate``, ``report`` and ``render`` commands.
+parsers, and the ``solve``, ``validate``, ``report`` and ``render``
+commands.
 
 A parser either returns or raises ``ValueError`` with a one-line message.
 A command exits 0, 1 or 2; exit 1 writes exactly one stderr line; nothing
-escapes as a traceback.  Inputs are bundled documents with a few values
-replaced, deleted or inserted, truncated documents and arbitrary bytes.
-Integers stay small, so a mutated quantity never asks for millions of
-cases.
+escapes as a traceback.  A packing that ``solve`` writes on exit 0 passes
+``validate``.  Inputs are bundled documents with a few values replaced,
+deleted or inserted, truncated documents and arbitrary bytes.  Integers
+stay small, so a mutated quantity asks for tens of cases, not thousands.
 """
 
 import contextlib
@@ -27,6 +28,7 @@ from binpack3d.instance_io import load_bundled, parse_instance, parse_packing, w
 from binpack3d.model import parse_value_file
 from binpack3d.solvers import SolverConfig
 from binpack3d.svg_render import VIEWS
+from binpack3d.validate import validate
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -174,3 +176,62 @@ class TestCommandFuzz:
             assert_clean_exit(code, stderr)
             if code == 1:
                 assert sorted(os.listdir(tmp)) == ["inst.json", "pack.json"]
+
+
+def small_doc() -> dict:
+    """Bundled instance 1 cut to its first four cases, so that the exact
+    solver takes it too."""
+    doc = bundled_doc(1)
+    doc["cases"] = doc["cases"][:4]
+    return doc
+
+
+def mostly(valid: list, invalid: list):
+    """One of ``valid``, or now and then one of ``invalid``."""
+    return st.sampled_from(valid * 3 + invalid)
+
+
+@st.composite
+def solve_inputs(draw):
+    """A small instance, now and then mutated, and solve flags in and out
+    of range; budgets stay tiny, and only a deterministic one may be
+    large."""
+    instance = json.dumps(small_doc()).encode()
+    if not draw(st.integers(0, 2)):
+        instance = draw(documents(small_doc()))
+    deterministic = draw(st.booleans())
+    limits = [1e-9, 0.01, 0.05] + [20.0] * deterministic
+    flags = [f"--time-limit={draw(mostly(limits, [0.0, -1.0, float('nan'), float('inf')]))!r}"]
+    if deterministic:
+        flags.append("--deterministic")
+    options = {"--support-threshold": mostly([0.0, 0.5, 0.8, 1.0], [-0.5, 1.5, float("nan")]),
+               "--seed": st.sampled_from([0, 7, -3, 2 ** 70]),
+               "--restarts": mostly([1, 2, 3], [0, -1]),
+               "--orientations": mostly([2, 6], [3]),
+               "--solver": mostly(["heuristic", "heuristic", "exact"], ["milp"])}
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            flags.append(f"{flag}={draw(values)}")
+    return instance, flags
+
+
+class TestSolveFuzz:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(solve_inputs())
+    def test_solve_exits_cleanly(self, inputs):
+        instance, flags = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("inst.json", "pack.json", "trace")]
+            with open(paths[0], "wb") as fh:
+                fh.write(instance)
+            code, _, stderr = run_cli(["solve", "--instance", paths[0], "--out", paths[1],
+                                       "--trace", paths[2], *flags])
+            assert_clean_exit(code, stderr)
+            if code != 0:
+                assert sorted(os.listdir(tmp)) == ["inst.json"]
+                return
+            inst = parse_instance(instance)
+            with open(paths[1], "rb") as fh:
+                pack = parse_packing(fh.read(), inst)
+            support = [float(f.split("=")[1]) for f in flags if f.startswith("--support")]
+            assert validate(inst, pack, support=(support or [None])[0]).feasible

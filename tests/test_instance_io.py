@@ -4,6 +4,7 @@ import pytest
 
 from binpack3d.geometry import Instance, Packing, Placement
 from binpack3d.instance_io import (
+    MAX_UNITS,
     ParseError,
     bundled_instance_names,
     load_bundled,
@@ -104,6 +105,29 @@ class TestParseInstance:
         doc = sample_doc()
         doc[where][0].update(length=1e120, width=1e120, height=1e120)
         with pytest.raises(ParseError, match=rf"{where}\[0\]: .*volume must be a finite"):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("where", ["cases", "bins"])
+    def test_huge_quantity_rejected(self, where):
+        """Expanding 1e11 units would exhaust memory; the parser refuses
+        the document at once."""
+        doc = sample_doc()
+        doc[where][0]["quantity"] = 100000000000
+        units = sum(entry["quantity"] for entry in doc[where])
+        message = f"^instance: {where} expand to {units} units, more than {MAX_UNITS}$"
+        with pytest.raises(ParseError, match=message):
+            parse_instance(json.dumps(doc))
+
+    def test_units_up_to_the_limit_accepted(self):
+        doc = sample_doc()
+        doc["cases"][0]["quantity"] = MAX_UNITS - 1
+        inst = parse_instance(json.dumps(doc))
+        assert sum(spec.quantity for spec in inst.case_specs) == MAX_UNITS
+        doc["bins"][0]["quantity"] = MAX_UNITS
+        parse_instance(json.dumps(doc))
+        doc["bins"].append(dict(doc["bins"][0], type_id=1, quantity=1))
+        message = f"bins expand to {MAX_UNITS + 1} units, more than {MAX_UNITS}$"
+        with pytest.raises(ParseError, match=message):
             parse_instance(json.dumps(doc))
 
     @pytest.mark.parametrize("text,message", [
