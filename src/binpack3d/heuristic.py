@@ -5,17 +5,15 @@ restart) at the anchor minimizing the incremental objective over all
 allowed orientations.  Anchors are corner points of placed cases plus the
 bin-floor origin; the z coordinate always comes from dropping the case
 onto the highest surface below its footprint, which keeps placements
-overlap-free by construction.  A dense anchor grid is tried before giving
-up on a case, and is used outright while a bin holds at most 8 cases; that
-search first drops the rows whose floor overhangs the bin's top (a
-footprint of the rows' least length and width overlaps a subset of the
-boxes each row's footprint does, even under rounding, so no row rests
-below its floor).  Each (anchor, orientation) row is a cell: where the box
-rests there and whether it fits.  One search settles a bin's cells of
-every allowed orientation through ``rest_heights`` and the support check
-as one batch, and picks each orientation's feasible cell lowest in
+overlap-free by construction.  While a bin holds at most 8 cases the dense
+grid of corner coordinates is searched instead.  Each (anchor, shape) row
+is a cell: where the box rests there and whether it fits.  A search
+settles each distinct ``(a, b, c)`` the allowed orientations give once,
+and the cells of all of them in a bin through ``rest_heights`` and the
+support check as one batch; it picks each shape's feasible cell lowest in
 (z, y, x), which is its first in (score, z, y, x) order because the score
-does not fall as z rises.  On corner anchors a bin keeps the cells
+does not fall as z rises, and every orientation with that shape takes it
+under its own noise-scaled score.  On corner anchors a bin keeps the cells
 between searches, per case type, and settles again only the cells of new
 corners and those that a box added or removed since overlaps by more than
 ``tol - _SLACK``: a cell's resting height depends only on the boxes it
@@ -42,11 +40,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .geometry import (
     DEFAULT_TOL,
+    Case,
     Instance,
     Packing,
     Placement,
@@ -70,14 +70,16 @@ _HIT_CELLS = 1 << 16
 
 def _new_stats() -> dict[str, int]:
     """Zeroed run counters, the keys of ``HeuristicResult.stats``."""
-    return dict.fromkeys(("best_spot_calls", "rows_settled", "rows_pruned", "restarts_failed",
+    return dict.fromkeys(("best_spot_calls", "rows_settled", "restarts_failed",
                           "restarts_rescued", "repairs_attempted", "repairs_undone"), 0)
 
 
 class _BinState:
     """Mutable working set of one bin's placed boxes: the item records and,
-    row for row, their boxes as a ``(k, 6)`` array.  The top, the support
-    pairs and the anchor grid are cached until the next change.
+    row for row, their boxes in the first rows of a ``(capacity, 6)``
+    buffer, which doubles when full and which ``remove`` shifts in place.
+    The top, the support pairs and the anchor grid are cached until the
+    next change.
 
     The corner anchors are append-only slots: each corner of a placed box
     (and the bin-floor origin, for good) has a slot that counts the boxes
@@ -92,7 +94,7 @@ class _BinState:
         self.height = inst.bins[j].height
         # rows: (case_index, x, y, z, dx, dy, dz)
         self.items: list[tuple] = []
-        self._boxes = np.empty((0, 6))
+        self._boxes = np.empty((8, 6))
         self._slot: dict[tuple[float, float], int] = {}
         self._xy = np.empty((64, 2))
         self._uses = np.zeros(64, dtype=int)
@@ -125,13 +127,14 @@ class _BinState:
         self._changed()
 
     def arrays(self) -> np.ndarray:
-        """The items' boxes as a ``(k, 6)`` array, in item order."""
-        return self._boxes
+        """The items' boxes as a ``(k, 6)`` array, in item order: a view that
+        the next change overwrites."""
+        return self._boxes[:len(self.items)]
 
     def support(self):
         """``support_pairs`` of the items' boxes resting on one another."""
         if self._pairs is None:
-            arr = self._boxes
+            arr = self.arrays()
             self._pairs = support_pairs(arr, *arr[:, :5].T)
         return self._pairs
 
@@ -142,19 +145,24 @@ class _BinState:
     def remove(self, case_index: int) -> tuple:
         for pos, it in enumerate(self.items):
             if it[0] == case_index:
-                self._boxes = np.delete(self._boxes, pos, axis=0)
+                end = len(self.items)
+                self._boxes[pos:end - 1] = self._boxes[pos + 1:end]
                 self._count(it, -1)
                 return self.items.pop(pos)
         raise KeyError(case_index)
 
     def restore(self, item: tuple) -> None:
+        end = len(self.items)
+        if end == len(self._boxes):
+            self._boxes = np.concatenate((self._boxes, np.empty_like(self._boxes)))
+        self._boxes[end] = item[1:]
         self.items.append(item)
-        self._boxes = np.vstack((self._boxes, item[1:]))
         self._count(item, 1)
 
     def top(self) -> float:
         if self._top is None:
-            self._top = float((self._boxes[:, 2] + self._boxes[:, 5]).max(initial=0.0))
+            arr = self.arrays()
+            self._top = float((arr[:, 2] + arr[:, 5]).max(initial=0.0))
         return self._top
 
     def slots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +179,7 @@ class _BinState:
             xy = xy[live]
             return xy[np.lexsort(xy.T[::-1])]
         if self._grid is None:
-            x, y, _, dx, dy, _ = self._boxes.T
+            x, y, _, dx, dy, _ = self.arrays().T
             xs = np.unique(np.concatenate(([self.x0], x, x + dx)))
             ys = np.unique(np.concatenate(([0.0], y, y + dy)))
             self._grid = np.column_stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs))))
@@ -237,6 +245,24 @@ def _scored(lowest: list, dims: list[tuple], g_cur: float, opening: float,
     return out
 
 
+@lru_cache(maxsize=1 << 12)
+def _fitting(case: Case, allowed: tuple[int, ...], x0: float, x1: float, width: float,
+             height: float) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[int, ...]]:
+    """The orientations in ``allowed`` under which ``case`` fits in an empty
+    bin spanning ``[x0, x1]`` by ``width`` by ``height``, the distinct
+    ``(a, b, c)`` they give, in first-seen order, and each one's index
+    among those."""
+    fits, dims = [], []
+    for k in allowed:
+        a, b, c = effective_dims(case, k)
+        if within_tol(max(overhang(x0, a, x1), overhang(0.0, b, width),
+                          overhang(0.0, c, height))):
+            fits.append(k)
+            dims.append((a, b, c))
+    shapes = tuple(dict.fromkeys(dims))
+    return tuple(fits), shapes, tuple(shapes.index(d) for d in dims)
+
+
 @dataclass
 class _Spot:
     score: float
@@ -297,79 +323,62 @@ class _WorkState:
     # -- placement search -------------------------------------------------
 
     def best_spot(self, case_index: int, allowed: tuple[int, ...],
-                  dense: bool = False,
                   noise: dict[int, float] | None = None) -> _Spot | None:
         """Cheapest placement for a case over all bins and orientations.
 
-        ``noise`` optionally scales each orientation's score; restarts use
-        it to escape the pure-greedy orientation choice.  ``dense`` searches
-        every bin's full anchor grid, less the rows whose floor overhangs
-        the bin's top.
+        Each distinct ``(a, b, c)`` the orientations give is searched once
+        per bin, and every orientation takes its spot.  ``noise`` optionally
+        scales each orientation's score; restarts use it to escape the
+        pure-greedy orientation choice.
         """
         self.stats["best_spot_calls"] += 1
         case = self.inst.cases[case_index]
-        dims = {k: effective_dims(case, k) for k in allowed}
         best: _Spot | None = None
         best_key = None
         for bs in self.bins:
+            fits, shapes, shape_of = _fitting(case, allowed, bs.x0, bs.x1, bs.width, bs.height)
+            if not fits:
+                continue
             opening = 0.0 if bs.items else self.inst.bins[bs.index].height
-            fits = [k for k in allowed
-                    if within_tol(max(overhang(bs.x0, dims[k][0], bs.x1),
-                                      overhang(0.0, dims[k][1], bs.width),
-                                      overhang(0.0, dims[k][2], bs.height)))]
-            args = ([dims[k] for k in fits], bs.top(), opening, self.weight[case_index])
+            args = (shapes, bs.top(), opening, self.weight[case_index])
             # the full anchor grid is small enough to use outright when few
             # boxes are placed, and it finds tucked spots corners miss
-            if dense or len(bs.items) <= 8:
-                spots = self._scan(bs, bs.anchors(True), *args, dense)
+            if len(bs.items) <= 8:
+                spots = self._scan(bs, bs.anchors(True), *args)
             else:
                 spots = self._corners(bs, *args)
-            for k, spot in zip(fits, spots):
-                if spot is not None:
-                    score, z, y, x = spot
+            for k, s in zip(fits, shape_of):
+                if spots[s] is not None:
+                    score, z, y, x = spots[s]
                     scale = noise[k] if noise else 1.0
                     key = (score * scale, z, y, x, bs.index, k)
                     if best_key is None or key < best_key:
-                        best, best_key = _Spot(score, z, y, x, bs.index, k, dims[k]), key
+                        best, best_key = _Spot(score, z, y, x, bs.index, k, shapes[s]), key
         return best
 
     def _scan(self, bs: _BinState, anchors: np.ndarray, dims: list[tuple],
-              g_cur: float, opening: float, weight: float,
-              dense: bool = False) -> list:
+              g_cur: float, opening: float, weight: float) -> list:
         """Best (score, z, y, x) over an anchor array for each ``(a, b, c)``
         in ``dims``, or None where no anchor fits.  The in-bin anchors of all
-        dims are settled together, ``_ANCHOR_CHUNK`` rows at a time.  With
-        ``dense``, rows whose floor overhangs the bin's top are dropped
-        first."""
-        if not dims:
-            return []
+        dims are settled together, ``_ANCHOR_CHUNK`` rows at a time."""
         xs, ys = anchors[:, 0], anchors[:, 1]
         abc = np.array(dims)
-        a, b, c = abc.T[:, :, None]
+        a, b, _ = abc.T[:, :, None]
         rows = within_tol(overhang(xs, a, bs.x1)) & within_tol(overhang(ys, b, bs.width))
-        if dense and rows.any():
-            # the floor: where a footprint of the least a and b of the rows
-            # rests, which no row rests below
-            some = rows.any(axis=1)
-            floor = rest_heights(bs.arrays(), xs, ys, a[some].min(), b[some].min())
-            keep = within_tol(overhang(floor, c, bs.height))
-            self.stats["rows_pruned"] += int((rows & ~keep).sum())
-            rows &= keep
         z = np.full(rows.shape, np.inf)
         for g, s, zs, fit in self._settle_rows(bs, rows, xs, ys, abc):
             z[g[fit], s[fit]] = zs[fit]
         return _scored(_lowest(z, xs, ys), dims, g_cur, opening, weight)
 
-    def _corners(self, bs: _BinState, dims: list[tuple],
+    def _corners(self, bs: _BinState, dims: tuple,
                  g_cur: float, opening: float, weight: float) -> list:
         """``_scan`` over the bin's live corner anchors, from the cells kept
         for ``dims``: only new slots' cells and cells that a box logged since
         could touch are settled again."""
-        if not dims:
-            return []
-        cells = bs.cells.get(tuple(dims))
+        dims = tuple(dims)
+        cells = bs.cells.get(dims)
         if cells is None:
-            cells = bs.cells[tuple(dims)] = _Cells(tuple(dims), len(bs.log))
+            cells = bs.cells[dims] = _Cells(dims, len(bs.log))
         xy, live = bs.slots()
         xs, ys = xy[:, 0], xy[:, 1]
         a, b, _ = cells.abc.T[:, :, None]
@@ -539,8 +548,6 @@ def _construct(inst, cfg, allowed, threshold, restart, rng, budget) -> _WorkStat
 
 def _insert(state: _WorkState, i: int, allowed, noise=None) -> bool:
     spot = state.best_spot(i, allowed, noise=noise)
-    if spot is None:
-        spot = state.best_spot(i, allowed, dense=True, noise=noise)
     if spot is None:
         return False
     state.commit(i, spot)

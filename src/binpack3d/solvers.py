@@ -41,6 +41,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.time_limit) and self.time_limit > 0):
             raise ValueError("time_limit must be a positive finite number")
+        if not math.isfinite(self.time_limit * DETERMINISTIC_STEPS_PER_SECOND):
+            raise ValueError("time_limit is too large for a finite step budget, "
+                             f"got {self.time_limit!r}")
         if self.support_threshold is not None and not 0 <= self.support_threshold <= 1:
             raise ValueError("support_threshold must be in [0, 1]")
         for name in ("restarts", "orientations", "exact_cap"):
@@ -95,11 +98,10 @@ class HeuristicResult:
 
     ``restarts_run`` counts constructions.  ``stats`` counts the run's
     work: ``best_spot_calls``, ``rows_settled`` (placement cells, one per
-    anchor and orientation, whose resting height and fit were computed; a
-    bin keeps its corner cells between searches and settles a cell again
-    only when a box that could change it was added or removed) and
-    ``rows_pruned`` (cells a dense search dropped unsettled because their
-    floor overhangs the bin's top),
+    anchor and distinct shape of the searched orientations, whose resting
+    height and fit were computed; a search settles each distinct shape
+    once, and a bin keeps its corner cells between searches and settles a
+    cell again only when a box that could change it was added or removed),
     ``restarts_failed`` and ``restarts_rescued`` (restarts run beyond
     ``SolverConfig.restarts`` while none had packed yet), and
     ``repairs_attempted`` and ``repairs_undone``.  Under ``deterministic``

@@ -1,8 +1,36 @@
+import math
+import os
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from binpack3d.geometry import BinSpec, CaseSpec, Instance, Packing, Placement
+from binpack3d.solvers import DETERMINISTIC_STEPS_PER_SECOND
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a ``python -m binpack3d`` child process: this
+    checkout's ``src`` first on ``PYTHONPATH``, where pytest's
+    ``pythonpath`` setting puts it on the test process's own path, so the
+    child imports the same package whether or not it is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
+def _largest_time_limit() -> float:
+    """The largest time limit whose deterministic step budget is finite."""
+    limit = math.nextafter(sys.float_info.max / DETERMINISTIC_STEPS_PER_SECOND, math.inf)
+    while not math.isfinite(limit * DETERMINISTIC_STEPS_PER_SECOND):
+        limit = math.nextafter(limit, 0.0)
+    return limit
+
+
+LARGEST_TIME_LIMIT = _largest_time_limit()
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ from binpack3d.model import (
 from binpack3d.solvers import SolverConfig
 from binpack3d.validate import validate
 
-from conftest import make_instance, random_packing, stacked_packing
+from conftest import child_env, make_instance, random_packing, stacked_packing
 
 BUNDLED_CASE_COUNTS = [16, 36, 41, 43, 52, 53, 60, 76, 82, 90, 96, 130, 141, 153, 158]
 
@@ -247,13 +247,13 @@ def test_criterion_9_cli_determinism(tmp_path):
             [sys.executable, "-m", "binpack3d", "solve",
              "--instance", "bundled:1", "--deterministic", "--seed", "7",
              "--time-limit", "2", "--restarts", "2", "--out", str(out)],
-            capture_output=True, text=True, timeout=600)
+            capture_output=True, text=True, timeout=600, env=child_env())
         assert proc.returncode == 0, proc.stderr
     identical = out_a.read_bytes() == out_b.read_bytes()
     report_a = json.loads(
         subprocess.run([sys.executable, "-m", "binpack3d", "solve",
                         "--instance", "bundled:1", "--deterministic",
                         "--seed", "7", "--time-limit", "2", "--restarts", "2"],
-                       capture_output=True, text=True, timeout=600).stdout)
+                       capture_output=True, text=True, timeout=600, env=child_env()).stdout)
     _report(9, "deterministic solve wrote byte-identical packing documents "
                "across consecutive runs", identical and report_a["feasible"])

@@ -17,6 +17,8 @@ from binpack3d.cli import main
 from binpack3d.instance_io import load_bundled, parse_packing, write_packing
 from binpack3d.model import expected_constraint_count, expected_variable_count
 
+from conftest import LARGEST_TIME_LIMIT, child_env
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -73,6 +75,24 @@ class TestSolve:
              "--deterministic"], capsys)
         assert code == 2
         assert json.loads(stdout)["feasible"] is False
+
+    @pytest.mark.parametrize("deterministic", [[], ["--deterministic"]])
+    def test_time_limit_up_to_a_finite_step_budget(self, tmp_path, capsys, deterministic):
+        """The largest time limit with a finite step budget solves; the next
+        float is a one-line usage error that names ``time_limit``."""
+        out = tmp_path / "pack.json"
+        for limit, want in ((LARGEST_TIME_LIMIT, 0),
+                            (math.nextafter(LARGEST_TIME_LIMIT, math.inf), 1)):
+            code, stdout, err = run_cli(
+                ["solve", "--instance", "bundled:1", "--time-limit", repr(limit),
+                 "--restarts", "1", "--out", str(out), *deterministic], capsys)
+            assert code == want
+            if want:
+                assert err.startswith("binpack3d: error: time_limit")
+                assert err.strip().count("\n") == 0 and not out.exists()
+            else:
+                assert json.loads(stdout)["feasible"] is True
+                out.unlink()
 
     def test_exact_solver_selectable(self, tmp_path, capsys):
         doc = {
@@ -394,6 +414,6 @@ class TestModuleEntry:
     def test_python_dash_m_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "binpack3d", "instances"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)[0]["name"] == "bench-01"

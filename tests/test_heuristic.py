@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 import time
 from unittest import mock
 
@@ -16,10 +17,10 @@ from binpack3d.geometry import (DEFAULT_TOL, ORIENTATIONS, BinSpec, CaseSpec, In
 from binpack3d.heuristic import solve_heuristic
 from binpack3d.instance_io import load_bundled, write_packing
 from binpack3d.metrics import BoundInconsistencyWarning, gap_vs_bound
-from binpack3d.solvers import DEFAULT_NEIGHBORHOOD, SolverConfig
+from binpack3d.solvers import DEFAULT_NEIGHBORHOOD, DETERMINISTIC_STEPS_PER_SECOND, SolverConfig
 from binpack3d.validate import validate
 
-from conftest import make_instance
+from conftest import LARGEST_TIME_LIMIT, make_instance
 
 
 def quick_cfg(**kw):
@@ -187,7 +188,7 @@ class TestDeterminism:
                            neighborhood={})
         a, b = (solve_heuristic(load_bundled(8), cfg) for _ in range(2))
         assert a.stats == b.stats
-        assert a.stats["rows_pruned"] > 0 and a.stats["restarts_rescued"] > 0
+        assert a.stats["restarts_rescued"] > 0
 
     def test_construct_only_counts_no_moves(self):
         """Construction only runs the configured restarts, and no search."""
@@ -219,6 +220,12 @@ PINNED_RESULTS = {
     (15, None, "improve-20s"): "d87401c711a7f760883470ca1a9afa0d695f10970f4cfe6c120c123780dc27dd",
     (12, 0.8, "improve-20s"): "5cb91471886500ea143c6ded096063519378758e4ffd8514b21226e309c5bbd5",
     (15, 0.8, "improve-20s"): "6e348a92bd472cda211bd5cfb1d464b7d9de97ec2c5c35e0a6a4e22a329b63f3",
+    (8, None, "improve-20s"): "baf220553f0f68b8f023cb37ec492c9a3cd79bdd25e70b41b53f00e0e5043e9b",
+    (9, 0.8, "improve-20s"): "c05f54ad0929cb0dbe935913fb3bd61154742cb06c4d32daf1c8d8430da7c092",
+    (11, None, "improve-20s"): "75e887d4304a0359fc4287b0508bf0fc4d166bec1f42a7c9e033c2d84b1f657e",
+    (12, None, "improve-20s"): "ae10dd1d1deae8c9bc915cc23146f74cb8ce3aa9d7e871ff2fa8162fc6b01958",
+    (14, None, "improve-20s"): "6ceacea9363c20ae8ff6820ee708f168306c0a4d9db89f0e0f069e53a4c4c680",
+    (15, 0.8, "construct"): "995d428312e435fcc601b4ebf77428f5725bdcee229350d90183b58a2786bd3e",
 }
 _PIN_SETTINGS = {"improve": dict(time_limit=5.0, restarts=2),
                  "improve-20s": dict(time_limit=20.0, restarts=2),
@@ -234,12 +241,14 @@ def test_bundled_results_pinned(number, support, run):
     The construct-only digests were recorded at commit 61fa264 (support
     None) and at 58210a9 (support 0.8), before the restart search replaced
     the move neighbourhood, and must not change with the search.  bench-08
-    needs rescue restarts and the dense anchor grid.  The other digests pin
-    the full search: bench-02 at 0.8 lowers its objective on three search
-    restarts and bench-10 on one, and bench-08 at 0.8 searches after
-    rescue restarts.  bench-12 and bench-15 at 0.8, recorded at 2625d50
-    before the placement cells were kept between searches, are where that
-    saves the most settling.
+    needs rescue restarts.  The other digests pin the full search: bench-02
+    at 0.8 lowers its objective on three search restarts and bench-10 on
+    one, and bench-08 at 0.8 searches after rescue restarts.  bench-12 and
+    bench-15 at 0.8, recorded at 2625d50 before the placement cells were
+    kept between searches, are where that saves the most settling.  The
+    last six, recorded at 7ae8098 before each distinct shape was searched
+    once, are runs whose cases have orientations with equal dimensions
+    (a square face); bench-08 without support repairs hundreds of times.
     """
     inst = load_bundled(number)
     cfg = SolverConfig(seed=7, deterministic=True, support_threshold=support,
@@ -258,8 +267,10 @@ class TestAnchorChunks:
     """Anchors are scanned in chunks; the chunk size must not change the
     pick, so chunks merge in the (score, z, y, x) order used within one."""
 
-    @pytest.fixture
-    def states(self):
+    @staticmethod
+    def states():
+        """Fresh states, so that no bin's kept cells carry over between
+        chunk sizes, and the case each one searches for."""
         inst = _tie_instance()
         empty = heuristic._WorkState(inst, None)
         # a unit cube fits on the floor at three tied anchors around this box
@@ -270,12 +281,11 @@ class TestAnchorChunks:
             assert heuristic._insert(bench, i, ORIENTATIONS)
         return [(empty, 1), (corner, 1), (bench, 10)]
 
-    def test_best_spot_independent_of_chunk_size(self, monkeypatch, states):
+    def test_best_spot_independent_of_chunk_size(self, monkeypatch):
         spots = {}
         for chunk in (1, 7, 4096):
             monkeypatch.setattr(heuristic, "_ANCHOR_CHUNK", chunk)
-            spots[chunk] = [state.best_spot(i, ORIENTATIONS, dense=True)
-                            for state, i in states]
+            spots[chunk] = [state.best_spot(i, ORIENTATIONS) for state, i in self.states()]
         assert spots[1] == spots[7] == spots[4096]
         assert (spots[1][1].x, spots[1][1].y, spots[1][1].z) == (2.0, 0.0, 0.0)
 
@@ -357,6 +367,35 @@ class TestBinState:
             check()
             state.restore(record)
             check()
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(["add", "add", "remove", "restore"]), _item,
+                              st.integers(0, 99)), max_size=40))
+    # past the first two doublings of the buffer, then removals from its middle
+    @example([("add", (0.0, 0.0, 1.0, 1.0), 0)] * 20 + [("remove", (0.0, 0.0, 1.0, 1.0), 7)] * 5
+             + [("restore", (0.0, 0.0, 1.0, 1.0), 1)] * 3)
+    def test_box_buffer_equals_delete_and_stack(self, steps):
+        """The box buffer, shifted in place on removal and doubled when
+        full, holds what ``np.delete`` and ``np.vstack`` would."""
+        inst = Instance("grid", (CaseSpec(0, 1, 1, 1),), (BinSpec(0, 10, 10, 10),))
+        state = heuristic._BinState(inst, 0)
+        want = np.empty((0, 6))
+        taken = []
+        for n, (kind, (x, y, dx, dy), which) in enumerate(steps):
+            if kind == "add":
+                state.add(n, x, y, n / 7, dx, dy, 1.0 + which / 3)
+                want = np.vstack((want, state.items[-1][1:]))
+            elif kind == "remove" and state.items:
+                pos = which % len(state.items)
+                taken.append(state.remove(state.items[pos][0]))
+                want = np.delete(want, pos, axis=0)
+            elif kind == "restore" and taken:
+                state.restore(taken.pop(which % len(taken)))
+                want = np.vstack((want, state.items[-1][1:]))
+            got = state.arrays()
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert state.top() == max((it[3] + it[6] for it in state.items), default=0.0)
 
 
 TOL = DEFAULT_TOL
@@ -536,53 +575,97 @@ class TestEvictAndMove:
         assert validate(state.inst, state.packing(), support=threshold).feasible
 
 
-class TestBoundedSearch:
-    """A dense search is bounded by the bin's top: it leaves unsettled the
-    rows whose floor (where a footprint of the rows' least length and width
-    rests) overhangs the top, and picks the spot it would pick with every
-    row settled."""
+def _reference_spot(state, i, allowed, noise):
+    """``best_spot`` with every allowed orientation searched on its own over
+    a fresh settle of the anchors the bin would search."""
+    case = state.inst.cases[i]
+    best = None
+    for bs in state.bins:
+        opening = 0.0 if bs.items else state.inst.bins[bs.index].height
+        for k in allowed:
+            a, b, c = effective_dims(case, k)
+            if max(bs.x0 + a - bs.x1, b - bs.width, c - bs.height) > DEFAULT_TOL:
+                continue
+            [spot] = state._scan(bs, bs.anchors(len(bs.items) <= 8), [(a, b, c)], bs.top(),
+                                 opening, state.weight[i])
+            if spot is not None:
+                key = (spot[0] * (noise[k] if noise else 1.0), *spot[1:], bs.index, k)
+                if best is None or key < best[0]:
+                    best = key, heuristic._Spot(*spot, bs.index, k, (a, b, c))
+    return None if best is None else best[1]
 
-    @pytest.mark.parametrize("number", [1, 10])
+
+class TestDistinctShapes:
+    """A search settles each distinct ``(a, b, c)`` once, and every
+    orientation with those dimensions takes the shared spot under its own
+    noise-scaled key."""
+
     @pytest.mark.parametrize("threshold", [None, 0.8])
-    def test_bound_contract(self, number, threshold, monkeypatch):
-        state = _construction(threshold, load_bundled(number))
-        cases = [i for i in range(state.inst.num_cases) if state.removal_safe(i)]
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_square_base_case_matches_six_separate_searches(self, threshold, noisy):
+        # bench-08 holds 40 cases of 7 x 7 x 6.1: six orientations, three shapes
+        inst = load_bundled(8)
+        case = inst.cases[0]
+        assert (case.length, case.width, case.height) == (7.0, 7.0, 6.1)
+        assert len({effective_dims(case, k) for k in ORIENTATIONS}) == 3
+        assert heuristic._fitting(case, ORIENTATIONS, *inst.bin_window(0), 38.1, 25.0)[2] == (
+            0, 1, 0, 1, 2, 2)
+        state = heuristic._WorkState(inst, threshold)
+        rng = random.Random(3)
+        compared = 0
+        # the 8 x 7 x 7.2 cases first, then 7 x 7 x 6.1 ones, searching
+        # for case 0 on the empty bin, on the full grid and on kept corners
+        for i in [*range(40, 76), *range(39, 0, -1)]:
+            if len(state.bins[0].items) in (0, 3, 8, 9, 15, 30, 45, 60):
+                # equal noise on equal shapes ties their scores: k breaks it
+                noise = ({k: 1.0 + rng.random() for k in ORIENTATIONS} if noisy
+                         else None)
+                if noisy and compared % 2:
+                    noise[3] = noise[1]
+                want = _reference_spot(state, 0, ORIENTATIONS, noise)
+                assert state.best_spot(0, ORIENTATIONS, noise) == want
+                compared += want is not None
+            if not heuristic._insert(state, i, ORIENTATIONS):
+                break
+        assert compared >= 4
 
-        def searches():
-            settled, pruned = state.stats["rows_settled"], state.stats["rows_pruned"]
-            spots = []
-            for i in cases:
-                record = state.remove(i)
-                spots.append(state.best_spot(i, ORIENTATIONS, dense=True))
-                state.restore(record)
-            return (spots, state.stats["rows_settled"] - settled,
-                    state.stats["rows_pruned"] - pruned)
-
-        spots, settled, pruned = searches()
-        real_scan = heuristic._WorkState._scan
-        monkeypatch.setattr(heuristic._WorkState, "_scan",
-                            lambda self, *args, dense=False: real_scan(self, *args[:6]))
-        all_spots, all_settled, none_pruned = searches()
-        assert spots == all_spots and None not in spots
-        assert pruned > 0 and none_pruned == 0
-        assert settled + pruned == all_settled
-
-    def test_footprint_narrower_than_twice_the_tolerance(self):
-        """The floor's footprint is the rows' own narrowest, so a sliver
-        narrower than 2*tol gets a floor no higher than where it rests."""
-        inst = Instance("sliver", (CaseSpec(0, 1, 1, 1), CaseSpec(1, 1e-7, 1, 1)),
-                        (BinSpec(0, 4, 4, 1.5),))
+    def test_upright_orientations_of_a_square_base_share_one_shape(self):
+        inst = load_bundled(8)
+        fits, shapes, shape_of = heuristic._fitting(inst.cases[0], (1, 3),
+                                                    *inst.bin_window(0), 38.1, 25.0)
+        assert fits == (1, 3) and shapes == ((7.0, 7.0, 6.1),) and shape_of == (0, 0)
         state = heuristic._WorkState(inst, None)
-        # the box starts less than tol right of the origin: a sliver at the
-        # origin misses it, a 2*tol footprint there would rest on its top
-        # and overhang the bin
-        state.commit(0, heuristic._Spot(0.0, 0.0, 0.0, 5e-7, 0, 1, (1.0, 1.0, 1.0)))
-        full = state.best_spot(1, (1,))
-        assert (full.x, full.y, full.z) == (0.0, 0.0, 0.0)
-        assert state.best_spot(1, (1,), dense=True) == full
+        spot = state.best_spot(0, (1, 3))
+        # the tie between the two orientations breaks to the lower k
+        assert (spot.orientation, spot.x, spot.y, spot.z) == (1, 0.0, 0.0, 0.0)
+        assert state.stats["rows_settled"] == 1
+
+    def test_orientations_that_do_not_fit_the_bin_are_left_out(self):
+        # only the orientations with the 9-long side along x fit
+        inst = Instance("narrow", (CaseSpec(0, 9, 2, 2),), (BinSpec(0, 10, 3, 3),))
+        fits, shapes, shape_of = heuristic._fitting(inst.cases[0], ORIENTATIONS,
+                                                    0.0, 10.0, 3.0, 3.0)
+        assert fits == (1, 2) and shapes == ((9.0, 2.0, 2.0),) and shape_of == (0, 0)
+        assert heuristic._fitting(inst.cases[0], (3, 4, 5, 6), 0.0, 10.0, 3.0, 3.0) == (
+            (), (), ())
+        assert heuristic._WorkState(inst, None).best_spot(0, (3, 4, 5, 6)) is None
 
 
 class TestConfig:
+    def test_largest_time_limit_accepted(self):
+        cfg = SolverConfig(time_limit=LARGEST_TIME_LIMIT, seed=7, restarts=1)
+        assert cfg.step_budget() == int(LARGEST_TIME_LIMIT * DETERMINISTIC_STEPS_PER_SECOND)
+        for deterministic in (False, True):
+            cfg.deterministic = deterministic
+            assert solve_heuristic(load_bundled(1), cfg).feasible
+
+    @pytest.mark.parametrize("time_limit", [math.nextafter(LARGEST_TIME_LIMIT, math.inf), 1e307,
+                                            sys.float_info.max])
+    def test_time_limit_without_a_finite_step_budget_rejected(self, time_limit):
+        with pytest.raises(ValueError, match="time_limit") as err:
+            SolverConfig(time_limit=time_limit)
+        assert "\n" not in str(err.value)
+
     @pytest.mark.parametrize("kw,message", [
         ({"time_limit": float("inf")}, "time_limit"),
         ({"time_limit": float("nan")}, "time_limit"),
