@@ -100,6 +100,24 @@ def _load_json(text: str | bytes, what: str) -> dict:
     return doc
 
 
+def _specs(raw: list, what: str, spec_type: type, id_field: str) -> list:
+    """Case or bin specs from the entries of the ``what`` array."""
+    specs = []
+    for pos, entry in enumerate(raw):
+        where = f"{what}[{pos}]"
+        try:
+            specs.append(spec_type(
+                _integer(entry, id_field, where),
+                *(_number(entry, side, where) for side in ("length", "width", "height")),
+                quantity=_integer(entry, "quantity", where),
+            ))
+        except ParseError:
+            raise
+        except ValueError as e:
+            raise ParseError(f"{where}: {e}") from None
+    return specs
+
+
 def parse_instance(text: str | bytes) -> Instance:
     """Parse an instance document into an expanded Instance."""
     doc = _load_json(text, "instance")
@@ -114,37 +132,8 @@ def parse_instance(text: str | bytes) -> Instance:
     if not isinstance(raw_bins, list) or not raw_bins:
         raise ParseError("instance: 'bins' must be a non-empty array")
 
-    case_specs = []
-    for pos, entry in enumerate(raw_cases):
-        where = f"cases[{pos}]"
-        try:
-            case_specs.append(CaseSpec(
-                id=_integer(entry, "id", where),
-                length=_number(entry, "length", where),
-                width=_number(entry, "width", where),
-                height=_number(entry, "height", where),
-                quantity=_integer(entry, "quantity", where),
-            ))
-        except ParseError:
-            raise
-        except ValueError as e:
-            raise ParseError(f"{where}: {e}") from None
-
-    bin_specs = []
-    for pos, entry in enumerate(raw_bins):
-        where = f"bins[{pos}]"
-        try:
-            bin_specs.append(BinSpec(
-                type_id=_integer(entry, "type_id", where),
-                length=_number(entry, "length", where),
-                width=_number(entry, "width", where),
-                height=_number(entry, "height", where),
-                quantity=_integer(entry, "quantity", where),
-            ))
-        except ParseError:
-            raise
-        except ValueError as e:
-            raise ParseError(f"{where}: {e}") from None
+    case_specs = _specs(raw_cases, "cases", CaseSpec, "id")
+    bin_specs = _specs(raw_bins, "bins", BinSpec, "type_id")
 
     for what, specs in (("cases", case_specs), ("bins", bin_specs)):
         units = sum(spec.quantity for spec in specs)

@@ -29,7 +29,10 @@ piecewise-McCormick overestimate partitioned along the x-overlap axis.
 
 The model is built in array blocks: one registry append per variable
 family, and one numpy block per row family, or per group of families
-whose rows alternate case by case or pair by pair.
+whose rows alternate case by case or pair by pair.  Each block records
+where it sits (``VariableRegistry.families``, ``RowStore.families``), and
+the packing map and the big-M audit address the model by those index
+ranges; the names above are for the LP/MPS text.
 """
 
 from __future__ import annotations
@@ -48,11 +51,11 @@ from .geometry import (
     Instance,
     Packing,
     Placement,
+    _overlap,
+    box_array,
     check_packing,
     effective_dims,
-    interval_overlap,
     placed_box,
-    separating_relations,
 )
 
 BINARY = "binary"
@@ -80,15 +83,17 @@ class VariableRegistry:
 
     Variable v has name ``names[v]``, kind ``KINDS[kinds[v]]`` and bounds
     ``lb[v]``/``ub[v]``, in flat arrays.  ``add`` appends a block of
-    variables; indexing builds a fresh ``Variable``.  The name-to-index map
-    is built on the first ``index`` or ``in``, so writing a model out never
-    builds it.
+    variables and records its index range in ``families``; indexing builds
+    a fresh ``Variable``.  The name-to-index map is built on the first
+    ``index`` or ``in``, so neither writing a model out nor mapping a
+    packing onto it builds it.
     """
 
     def __init__(self) -> None:
         self.names: list[str] = []
         self.kinds = bytearray()
         self.lb, self.ub = array("d"), array("d")
+        self.families: dict[str, range] = {}
         self._index: dict[str, int] | None = None
 
     def add(self, family: str, labels: list[str], kind: str, lb, ub) -> np.ndarray:
@@ -99,12 +104,14 @@ class VariableRegistry:
         finite = np.isfinite(lb) & np.isfinite(ub)
         if not finite.all():
             raise ArithmeticError(f"non-finite bound for {names[int(np.argmin(finite))]}")
+        start = len(self.names)
         self.names.extend(names)
         self.kinds.extend(bytes([KINDS.index(kind)]) * len(names))
         self.lb.frombytes(lb.tobytes())
         self.ub.frombytes(ub.tobytes())
         self._index = None
-        return np.arange(len(self.names) - len(names), len(self.names))
+        self.families[family] = range(start, len(self.names))
+        return np.arange(start, len(self.names))
 
     def _positions(self) -> dict[str, int]:
         if self._index is None:
@@ -153,6 +160,9 @@ class RowStore(Sequence):
     the rows that have them, in row order: ``qrows[t]`` owns the product
     ``qcoefs[t] * v[qa[t]] * v[qb[t]]``.  Indexing builds a fresh
     ``Constraint``; rows are only ever appended, a block at a time.
+    ``families`` locates each row family, keyed by its name and suffix
+    (``sep,3``): ``(first, stride, count)`` means rows ``first + stride * u``
+    for units ``u < count``.
     """
 
     def __init__(self) -> None:
@@ -164,6 +174,7 @@ class RowStore(Sequence):
         self.qrows = array("i")
         self.qa, self.qb = array("i"), array("i")
         self.qcoefs = array("d")
+        self.families: dict[str, tuple[int, int, int]] = {}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -221,17 +232,20 @@ class _RowBlock:
                                                 (units, -1)) for col, coef in terms])
             width = cols.shape[1]
             keep = np.arange(width) < np.reshape(width if count is None else count, (-1, 1))
-            self.families.append(((f"{name}[", f"{suffix}]"), _SENSE_CODE[sense],
-                                  np.broadcast_to(rhs, (units,)), cols, coefs,
-                                  np.broadcast_to(keep, cols.shape), q))
+            self.families.append((name + suffix, (f"{name}[", f"{suffix}]"),
+                                  _SENSE_CODE[sense], np.broadcast_to(rhs, (units,)),
+                                  cols, coefs, np.broadcast_to(keep, cols.shape), q))
         return self
 
     def write(self) -> None:
-        """Append the rows to the store, unit by unit, as one CSR block."""
+        """Append the rows to the store, unit by unit, as one CSR block, and
+        record where each family's rows sit."""
         if not self.families:
             return
         rows, units = self.rows, len(self.labels)
-        heads, senses, rhs, cols, coefs, keep, quad = zip(*self.families)
+        keys, heads, senses, rhs, cols, coefs, keep, quad = zip(*self.families)
+        for pos, key in enumerate(keys):
+            rows.families[key] = (len(rows) + pos, len(keys), units)
         counts = np.column_stack([k.sum(axis=1) for k in keep])
         cols, coefs, keep = map(np.column_stack, (cols, coefs, keep))
         if not keep.all():
@@ -538,69 +552,69 @@ def packing_to_assignment(model: Model, pack: Packing,
     geometry provides, picks the first spatial relation that actually
     separates each pair, and opens bins so that same-type bins are used in
     index order.  For a feasible packing the result satisfies every model
-    row; for an infeasible one at least one row fails.
+    row; for an infeasible one at least one row fails.  Values are set by
+    index into the variable families' recorded ranges, all cases, pairs
+    or ordered pairs of a family at once.
     """
     inst = model.instance
     check_packing(inst, pack)
     m, n = inst.num_cases, inst.num_bins
     reg = model.registry
-    values: dict[str, float] = dict.fromkeys(reg.names, 0.0)
+    at = {family: block.start for family, block in reg.families.items()}
+    v = np.zeros(len(reg))
+    # A Packing holds its placements in case order, one per case.
     placements = pack.placements
-    boxes = [placed_box(inst.cases[p.case_index], p) for p in placements]
+    box = box_array(map(placed_box, inst.cases, placements))
+    pos, ext = box[:, :3], box[:, 3:]
+    bins = np.array([p.bin_index for p in placements], dtype=np.int64)
+    kpos = np.array([ORIENTATIONS.index(p.orientation) for p in placements], dtype=np.int64)
 
-    used = {p.bin_index for p in placements}
+    used = set(bins.tolist())
     # Open bins as a prefix within each type group so in-order rows hold.
     for group in inst.type_ranges:
         last_used = max((j for j in group if j in used), default=group.start - 1)
-        for j in range(group.start, last_used + 1):
-            values[f"e[{j}]"] = 1.0
+        v[at["e"] + group.start:at["e"] + last_used + 1] = 1.0
 
-    tops = [0.0] * n
-    for p, box in zip(placements, boxes):
-        i = p.case_index
-        values[f"u[{i},{p.bin_index}]"] = 1.0
-        values[f"r[{i},{p.orientation}]"] = 1.0
-        values[f"x[{i}]"] = box.x
-        values[f"y[{i}]"] = box.y
-        values[f"z[{i}]"] = box.z
-        values[f"xp[{i}]"] = box.dx
-        values[f"yp[{i}]"] = box.dy
-        values[f"zp[{i}]"] = box.dz
-        tops[p.bin_index] = max(tops[p.bin_index], box.top)
-    for j in range(n):
-        values[f"g[{j}]"] = tops[j]
+    cases = np.arange(m)
+    v[at["u"] + n * cases + bins] = 1.0
+    v[at["r"] + 6 * cases + kpos] = 1.0
+    for k, family in enumerate(("x", "y", "z", "xp", "yp", "zp")):
+        v[at[family] + cases] = box[:, k]
+    tops = np.zeros(n)
+    np.fmax.at(tops, bins, pos[:, 2] + ext[:, 2])
+    v[at["g"]:at["g"] + n] = tops
 
-    for i in range(m):
-        for i2 in range(i + 1, m):
-            relations = separating_relations(boxes[i], boxes[i2], tol)
-            values[f"b[{i},{i2},{relations[0] if relations else 0}]"] = 1.0
+    # Relation q holds when lo + ext <= hi + tol (see separating_relations);
+    # argmax picks the first that holds, and relation 0 when none does.
+    pi, pi2 = np.triu_indices(m, 1)
+    holds = (np.hstack([pos[pi], pos[pi2]]) + np.hstack([ext[pi], ext[pi2]])
+             <= np.hstack([pos[pi2], pos[pi]]) + tol)
+    v[at["b"] + 6 * np.arange(len(pi)) + holds.argmax(axis=1)] = 1.0
 
     if model.support is not None:
-        pieces = model.mccormick_pieces
-        for i, box in enumerate(boxes):
-            if box.z <= tol:
-                values[f"fg[{i}]"] = 1.0
-                values[f"sg[{i}]"] = box.footprint
-        for i, up in enumerate(boxes):
-            for i2, lo in enumerate(boxes):
-                if i2 == i:
-                    continue
-                touches = abs(up.z - lo.top) <= tol
-                meets_x = lo.x <= up.x + up.dx + tol and up.x <= lo.x + lo.dx + tol
-                meets_y = lo.y <= up.y + up.dy + tol and up.y <= lo.y + lo.dy + tol
-                oxv = oyv = 0.0
-                if touches and meets_x and meets_y:
-                    values[f"f[{i},{i2}]"] = 1.0
-                    oxv = interval_overlap(up.x, up.dx, lo.x, lo.dx)
-                    oyv = interval_overlap(up.y, up.dy, lo.y, lo.dy)
-                    values[f"ox[{i},{i2}]"] = oxv
-                    values[f"oy[{i},{i2}]"] = oyv
-                    values[f"s[{i},{i2}]"] = oxv * oyv
-                if model.mode == "linearized":
-                    ub = reg.ub[reg.index(f"ox[{i},{i2}]")]
-                    seg = min(int(oxv / ub * pieces), pieces - 1) if ub > 0 else 0
-                    values[f"lam[{i},{i2},{seg}]"] = 1.0
-    return values
+        ground = pos[:, 2] <= tol
+        v[at["fg"] + cases] = ground
+        v[at["sg"] + cases] = np.where(ground, ext[:, 0] * ext[:, 1], 0.0)
+        # Ordered pair (up, lo): up's base meets lo's top, and their x and y
+        # extents meet, within tol; then the overlaps are claimed.
+        up, lo = np.nonzero(~np.eye(m, dtype=bool))
+        touches = ((np.abs(pos[up, 2] - (pos[lo, 2] + ext[lo, 2])) <= tol)
+                   & ((pos[lo, :2] <= pos[up, :2] + ext[up, :2] + tol)
+                      & (pos[up, :2] <= pos[lo, :2] + ext[lo, :2] + tol)).all(axis=1))
+        over = _overlap(pos[up, :2], ext[up, :2], pos[lo, :2], ext[lo, :2])
+        over[~touches] = 0.0
+        ordered = np.arange(len(up))
+        v[at["f"] + ordered] = touches
+        v[at["ox"] + ordered], v[at["oy"] + ordered] = over.T
+        v[at["s"] + ordered] = over[:, 0] * over[:, 1]
+        if model.mode == "linearized":
+            # The x-overlap's upper bound is split into equal segments; the
+            # overlap never exceeds it, and the last segment is closed.
+            pieces = model.mccormick_pieces
+            ox_ub = np.frombuffer(reg.ub)[at["ox"] + ordered]
+            seg = np.minimum((over[:, 0] / ox_ub * pieces).astype(np.int64), pieces - 1)
+            v[at["lam"] + pieces * ordered + seg] = 1.0
+    return dict(zip(reg.names, v.tolist()))
 
 
 @dataclass
@@ -750,86 +764,61 @@ def audit_big_m(model: Model, slack: float = 1e-9) -> list[str]:
     extent sums, so the audit uses the frame caps every assigned case
     obeys: x + xp never exceeds the frame length, y + yp the frame width,
     z + zp the frame height.  Each row family has a closed-form
-    requirement for its constant, checked here per generated row.
+    requirement for its constant, checked for all its rows at once: the
+    rows and their activator columns come from the ranges ``build_model``
+    records, and each coefficient is read through one sorted (row, column)
+    key over the linear terms.  A row without its activator raises
+    ``KeyError``.  Failing row names are returned in row order.
     """
-    inst = model.instance
-    reg = model.registry
-    cases = inst.cases
-    l_total, w_env, h_env = inst.total_length, inst.max_width, inst.max_height
-    axis_cap = {"x": l_total, "y": w_env, "z": h_env}
-    min_dim = [min(c.dims) for c in cases]
-    failures: list[str] = []
-
-    def coef_of(con: Constraint, name: str) -> float:
-        idx = reg.index(name)
-        for vid, coef in con.terms:
-            if vid == idx:
-                return coef
-        for a, b2, coef in con.qterms or ():
-            if a == idx or b2 == idx:
-                return coef
-        raise KeyError(name)
-
-    def fields(name: str) -> list[int]:
-        inner = name[name.index("[") + 1:-1]
-        return [int(v) for v in inner.split(",")]
-
-    for con in model.constraints:
-        family = con.name.split("[", 1)[0]
-        need = None
-        have = None
-        if family == "sep":
-            i, i2, j, q = fields(con.name)
-            # One activator unit must cover the separated pair's reach.
-            have = coef_of(con, f"b[{i},{i2},{q}]")
-            need = axis_cap[("x", "y", "z")[q % 3]]
-        elif family in ("bound_xhi", "bound_yhi", "bound_zhi"):
-            i, j = fields(con.name)
-            have = coef_of(con, f"u[{i},{j}]")
-            axis = family[6]
-            cap = axis_cap[axis]
-            local = {"x": inst.bin_window(j)[1], "y": inst.bins[j].width,
-                     "z": inst.bins[j].height}[axis]
-            need = cap - local
-        elif family == "top_height":
-            i, j = fields(con.name)
-            have = coef_of(con, f"u[{i},{j}]")
-            need = h_env  # g[j] may sit at 0 for an unrelated bin
-        elif family in ("touch_zlo", "touch_zhi"):
-            i, i2 = fields(con.name)
-            have = coef_of(con, f"f[{i},{i2}]")
-            need = h_env
-        elif family in ("touch_xlo", "touch_xhi", "touch_ylo", "touch_yhi"):
-            i, i2 = fields(con.name)
-            have = coef_of(con, f"f[{i},{i2}]")
-            need = axis_cap[family[6]]
-        elif family in ("ovx_a", "ovx_b", "ovy_a", "ovy_b"):
-            # Relaxed rows only need to admit the canonical value 0; the
-            # de-facto requirement is covering 0 <= rest + M.
-            i, i2 = fields(con.name)
-            have = coef_of(con, f"f[{i},{i2}]")
-            source = i if family.endswith("a") else i2
-            need = axis_cap[family[2]] - min_dim[source]
-        elif family in ("sup_cap", "ground_cap"):
-            idx = fields(con.name)
-            svar = f"s[{idx[0]},{idx[1]}]" if family == "sup_cap" else f"sg[{idx[0]}]"
-            have = -min(coef for _, coef in con.terms if coef < 0)
-            need = reg[reg.index(svar)].ub
-        elif family == "ground_touch":
-            i, = fields(con.name)
-            have = coef_of(con, f"fg[{i}]")
-            need = h_env
-        elif family == "mc_ub1":
-            i, i2, p = fields(con.name)
-            have = coef_of(con, f"lam[{i},{i2},{p}]")
-            need = reg[reg.index(f"s[{i},{i2}]")].ub
-        elif family == "mc_ub2":
-            i, i2, p = fields(con.name)
-            have = coef_of(con, f"lam[{i},{i2},{p}]")
-            ub_y = reg[reg.index(f"oy[{i},{i2}]")].ub
+    inst, reg, rows = model.instance, model.registry, model.constraints
+    m, n = inst.num_cases, inst.num_bins
+    at = {family: block.start for family, block in reg.families.items()}
+    ub = np.frombuffer(reg.ub)
+    cap = np.array([inst.total_length, inst.max_width, inst.max_height])
+    local = np.array([(inst.bin_window(j)[1], bn.width, bn.height)
+                      for j, bn in enumerate(inst.bins)])
+    units = at["u"] + np.arange(m * n)
+    pairs = np.repeat(np.arange(m * (m - 1) // 2), n)
+    # (row family, activator column of each row, constant it needs, sign
+    # of the activator's coefficient)
+    table = [(f"sep,{q}", at["b"] + 6 * pairs + q, cap[q % 3], 1.0) for q in range(6)]
+    table += [(f"bound_{axis}hi", units, cap[k] - np.tile(local[:, k], m), 1.0)
+              for k, axis in enumerate("xyz")]
+    table.append(("top_height", units, cap[2], 1.0))  # g[j] may sit at 0 for an unrelated bin
+    if model.support is not None:
+        oi, oi2 = np.nonzero(~np.eye(m, dtype=bool))
+        ordered, cases = np.arange(len(oi)), np.arange(m)
+        f, fg, s_ub = at["f"] + ordered, at["fg"] + cases, ub[at["s"] + ordered]
+        min_dim = np.array([min(c.dims) for c in inst.cases])
+        table += [(f"touch_{axis}{end}", f, cap["xyz".index(axis)], 1.0)
+                  for axis in "zxy" for end in ("lo", "hi")]
+        # Relaxed overlap rows only need to admit the canonical value 0;
+        # the de-facto requirement is covering 0 <= rest + M.
+        table += [(f"ov{axis}_{side}", f, cap[k] - min_dim[source], 1.0)
+                  for k, axis in enumerate("xy") for side, source in (("a", oi), ("b", oi2))]
+        table += [("sup_cap", f, s_ub, -1.0), ("ground_cap", fg, ub[at["sg"] + cases], -1.0),
+                  ("ground_touch", fg, cap[2], 1.0)]
+        if model.mode == "linearized":
             pieces = model.mccormick_pieces
-            bp = reg[reg.index(f"ox[{i},{i2}]")].ub * p / pieces
-            need = reg[reg.index(f"s[{i},{i2}]")].ub + bp * ub_y
-        if need is not None and have < need - slack:
-            failures.append(con.name)
-    return failures
+            lam = at["lam"] + pieces * ordered
+            ox_ub, oy_ub = ub[at["ox"] + ordered], ub[at["oy"] + ordered]
+            for p in range(pieces):
+                table += [(f"mc_ub1,{p}", lam + p, s_ub, 1.0),
+                          (f"mc_ub2,{p}", lam + p, s_ub + ox_ub * p / pieces * oy_ub, 1.0)]
+
+    parts = []
+    for family, activator, needed, signed in table:
+        # A family over no units (no pairs with one case) has no rows.
+        first, stride, count = rows.families.get(family, (0, 0, 0))
+        parts.append((first + stride * np.arange(count), activator,
+                      np.broadcast_to(needed, (count,)), np.full(count, signed)))
+    row, col, need, sign = map(np.concatenate, zip(*parts))
+    key = rows.row_of().astype(np.int64) * len(reg) + np.frombuffer(rows.cols, dtype=np.int32)
+    order = np.argsort(key, kind="stable")  # a repeated column reads its first term
+    want = row * len(reg) + col
+    hit = np.minimum(np.searchsorted(key, want, sorter=order), len(key) - 1)
+    missing = key[order[hit]] != want
+    if missing.any():
+        raise KeyError(reg.names[col[missing][np.argmin(row[missing])]])
+    have = sign * np.frombuffer(rows.coefs)[order[hit]]
+    return [rows.names[r] for r in np.sort(row[have < need - slack]).tolist()]

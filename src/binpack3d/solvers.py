@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .geometry import Instance, Packing
 
@@ -14,7 +16,7 @@ DEFAULT_NEIGHBORHOOD = {"restart": 1.0}
 DETERMINISTIC_STEPS_PER_SECOND = 200
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by the exact and heuristic solvers.
 
@@ -26,19 +28,23 @@ class SolverConfig:
     restarts stop lowering the objective; an empty map or a zero weight
     means construction only.  In ``deterministic`` mode the time limit
     maps to a fixed iteration budget instead of wall-clock time.
+
+    A config is frozen once validated: fields cannot be reassigned, and
+    ``neighborhood`` is a read-only copy of the mapping given.  Use
+    ``dataclasses.replace`` for a changed copy.
     """
 
     time_limit: float = 60.0
     seed: int = 0
     support_threshold: float | None = None
     restarts: int = 4
-    neighborhood: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_NEIGHBORHOOD))
+    neighborhood: Mapping[str, float] = field(default_factory=lambda: DEFAULT_NEIGHBORHOOD)
     orientations: int = 6
     deterministic: bool = False
     exact_cap: int = 4
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "neighborhood", MappingProxyType(dict(self.neighborhood)))
         if not (math.isfinite(self.time_limit) and self.time_limit > 0):
             raise ValueError("time_limit must be a positive finite number")
         if not math.isfinite(self.time_limit * DETERMINISTIC_STEPS_PER_SECOND):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -656,8 +657,24 @@ class TestConfig:
         cfg = SolverConfig(time_limit=LARGEST_TIME_LIMIT, seed=7, restarts=1)
         assert cfg.step_budget() == int(LARGEST_TIME_LIMIT * DETERMINISTIC_STEPS_PER_SECOND)
         for deterministic in (False, True):
-            cfg.deterministic = deterministic
-            assert solve_heuristic(load_bundled(1), cfg).feasible
+            assert solve_heuristic(load_bundled(1), dataclasses.replace(
+                cfg, deterministic=deterministic)).feasible
+
+    def test_config_is_frozen(self):
+        given = {"restart": 1.0}
+        cfg = SolverConfig(time_limit=5, neighborhood=given)
+        # assignment would skip the checks the constructor makes
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.time_limit = 1e307
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.restarts = 0
+        with pytest.raises(TypeError):
+            cfg.neighborhood["restart"] = -1.0
+        given["restart"] = -1.0
+        assert cfg.neighborhood == {"restart": 1.0}
+        assert dataclasses.replace(cfg, restarts=2).neighborhood == {"restart": 1.0}
+        with pytest.raises(ValueError, match="restarts"):
+            dataclasses.replace(cfg, restarts=0)
 
     @pytest.mark.parametrize("time_limit", [math.nextafter(LARGEST_TIME_LIMIT, math.inf), 1e307,
                                             sys.float_info.max])

@@ -174,6 +174,25 @@ class TestRegistry:
         assert "nope[0]" not in reg
         assert [v.name for v in reg] == reg.names
 
+    @pytest.mark.parametrize("support,mode", [
+        (None, "linearized"), (0.8, "linearized"), (0.8, "quadratic")])
+    def test_recorded_families_tile_the_model(self, support, mode):
+        inst = Instance("tile", (CaseSpec(0, 4, 3, 2, quantity=2), CaseSpec(1, 2, 2, 5)),
+                        (BinSpec(0, 8, 8, 8, quantity=3), BinSpec(1, 6, 7, 9)))
+        model = build_model(inst, support=support, mode=mode, mccormick_pieces=3)
+        reg, rows = model.registry, model.constraints
+        assert [name.split("[")[0] for name in reg.names] == [
+            family for family, block in reg.families.items() for _ in block]
+        owner = [None] * len(rows)
+        for key, (first, stride, count) in rows.families.items():
+            family, _, suffix = key.partition(",")
+            for row in range(first, first + stride * count, stride):
+                assert owner[row] is None
+                owner[row] = key
+                assert rows.names[row].startswith(family + "[")
+                assert rows.names[row].endswith(f",{suffix}]" if suffix else "]")
+        assert None not in owner
+
     @pytest.mark.parametrize("lb,ub,bad", [
         (0.0, [1.0, math.inf, 2.0], "v[1]"),
         ([0.0, 0.0, -math.inf], 1.0, "v[2]"),
@@ -413,19 +432,58 @@ class TestNonFiniteValues:
         assert _named(rows) == _named(reference_violations(model, values))
 
 
+def bigm_instance():
+    return Instance(
+        "bigm",
+        (CaseSpec(0, 4, 3, 2), CaseSpec(1, 2, 2, 5), CaseSpec(2, 1, 6, 1)),
+        (BinSpec(0, 8, 8, 8, quantity=2), BinSpec(1, 6, 7, 9)),
+    )
+
+
 class TestBigM:
     @pytest.mark.parametrize("support,mode,policy", [
         (None, "linearized", "paper"), (None, "linearized", "tight"),
         (0.8, "linearized", "paper"), (0.8, "quadratic", "paper"),
         (0.8, "linearized", "tight")])
     def test_constants_cover_their_rows(self, support, mode, policy):
-        inst = Instance(
-            "bigm",
-            (CaseSpec(0, 4, 3, 2), CaseSpec(1, 2, 2, 5), CaseSpec(2, 1, 6, 1)),
-            (BinSpec(0, 8, 8, 8, quantity=2), BinSpec(1, 6, 7, 9)),
-        )
-        model = build_model(inst, support=support, mode=mode, big_m=policy)
+        model = build_model(bigm_instance(), support=support, mode=mode, big_m=policy)
         assert audit_big_m(model) == []
+
+    def test_bench_fifteen_constants_cover_their_rows(self):
+        assert audit_big_m(build_model(load_bundled(15), support=0.8)) == []
+
+    # One row of each audited family of bigm_instance, the activator whose
+    # coefficient is its constant, and the constant it needs.  The frame
+    # is 22 x 8 x 9; bin 0 is 8 x 8 x 8, bin 2 is 6 x 7 x 9; the smallest
+    # sides are 2, 2 and 1, the largest footprints 12, 10 and 6, the
+    # largest sides 4, 5 and 6.
+    AUDITED_ROWS = [
+        ("sep[0,1,2,3]", "b[0,1,3]", 22), ("sep[1,2,0,5]", "b[1,2,5]", 9),
+        ("bound_xhi[0,0]", "u[0,0]", 22 - 8), ("bound_yhi[1,2]", "u[1,2]", 8 - 7),
+        ("bound_zhi[2,0]", "u[2,0]", 9 - 8), ("top_height[1,1]", "u[1,1]", 9),
+        ("touch_zlo[0,1]", "f[0,1]", 9), ("touch_zhi[1,0]", "f[1,0]", 9),
+        ("touch_xlo[2,1]", "f[2,1]", 22), ("touch_xhi[0,2]", "f[0,2]", 22),
+        ("touch_ylo[1,2]", "f[1,2]", 8), ("touch_yhi[2,0]", "f[2,0]", 8),
+        ("ovx_a[0,1]", "f[0,1]", 22 - 2), ("ovx_b[1,2]", "f[1,2]", 22 - 1),
+        ("ovy_a[2,1]", "f[2,1]", 8 - 1), ("ovy_b[2,0]", "f[2,0]", 8 - 2),
+        ("sup_cap[1,2]", "f[1,2]", 6), ("ground_cap[0]", "fg[0]", 12),
+        ("ground_touch[2]", "fg[2]", 9),
+        ("mc_ub1[0,1,0]", "lam[0,1,0]", 10), ("mc_ub1[2,0,3]", "lam[2,0,3]", 6),
+        ("mc_ub2[1,0,0]", "lam[1,0,0]", 10), ("mc_ub2[2,1,3]", "lam[2,1,3]", 6 + 5 * 3 / 4 * 5)]
+
+    @pytest.mark.parametrize("row,activator,needed,mode", [
+        (*audited, mode) for audited in AUDITED_ROWS
+        for mode in ("linearized", "quadratic") if mode == "linearized" or audited[0][:3] != "mc_"])
+    def test_shrunk_constant_fails_its_row_only(self, row, activator, needed, mode):
+        model = build_model(bigm_instance(), support=0.8, mode=mode)
+        rows = model.constraints
+        pos = rows.names.index(row)
+        start, stop = rows.indptr[pos], rows.indptr[pos + 1]
+        term = start + list(rows.cols[start:stop]).index(model.registry.index(activator))
+        # the audit allows a shortfall of up to its slack, 1e-9
+        for have, failures in ((needed - 0.5e-9, []), (needed - 2e-9, [row])):
+            rows.coefs[term] = math.copysign(have, rows.coefs[term])
+            assert audit_big_m(model) == failures
 
     def test_tight_policy_shrinks_boundary_rows(self):
         inst = small_instance(m_bins=2)
