@@ -69,7 +69,8 @@ def solve_exact(inst: Instance, cfg: SolverConfig | None = None) -> ExactResult:
     deadline = None
     node_budget = None
     if cfg.deterministic:
-        node_budget = int(cfg.time_limit * _NODES_PER_SECOND)
+        # a float: an infinite budget runs the enumeration to completion
+        node_budget = cfg.time_limit * _NODES_PER_SECOND
     else:
         deadline = time.monotonic() + cfg.time_limit
 

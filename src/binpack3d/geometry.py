@@ -140,6 +140,10 @@ class Instance:
     support_threshold: float | None = None
 
     def __post_init__(self) -> None:
+        # the name goes raw into LP comments and the MPS NAME line
+        if any(ch.isspace() or not ch.isprintable() for ch in self.name):
+            raise ValueError(f"name must not contain whitespace or control characters, "
+                             f"got {self.name!r}")
         object.__setattr__(self, "case_specs", tuple(self.case_specs))
         object.__setattr__(self, "bin_specs", tuple(self.bin_specs))
         ids = [c.id for c in self.case_specs]

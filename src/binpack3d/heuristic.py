@@ -15,16 +15,13 @@ support check as one batch; it picks each shape's feasible cell lowest in
 does not fall as z rises, and every orientation with that shape takes it
 under its own noise-scaled score.  On corner anchors a bin keeps the cells
 between searches, per case type, and settles again only the cells of new
-corners and those that a box added or removed since overlaps by more than
+corners and those that a box added since overlaps by more than
 ``tol - _SLACK``: a cell's resting height depends only on the boxes it
 overlaps by more than ``tol``, its support credit only on boxes it
 overlaps at all, so every other cell is what a fresh settle would give.
 Resting heights, support credit and the boundary and support verdicts
 come from ``geometry``, the rules the validator judges by.  A case that
-fits nowhere is repaired: a few cases are taken out while their
-dependents stay supported (``_evict``), the stuck case goes in first and
-the evicted ones are re-placed largest-first, or the attempt is undone
-(``_undo``).
+fits nowhere ends the construction, and the restart counts as failed.
 
 The search is the restart loop: restart r constructs with the insertion
 order and orientation noise drawn from ``random.Random(f"{seed}:{r}")``,
@@ -71,21 +68,19 @@ _HIT_CELLS = 1 << 16
 def _new_stats() -> dict[str, int]:
     """Zeroed run counters, the keys of ``HeuristicResult.stats``."""
     return dict.fromkeys(("best_spot_calls", "rows_settled", "restarts_failed",
-                          "restarts_rescued", "repairs_attempted", "repairs_undone"), 0)
+                          "restarts_rescued"), 0)
 
 
 class _BinState:
     """Mutable working set of one bin's placed boxes: the item records and,
     row for row, their boxes in the first rows of a ``(capacity, 6)``
-    buffer, which doubles when full and which ``remove`` shifts in place.
-    The top, the support pairs and the anchor grid are cached until the
-    next change.
+    buffer, which doubles when full.  The anchor grid is cached until the
+    next box is added.
 
-    The corner anchors are append-only slots: each corner of a placed box
-    (and the bin-floor origin, for good) has a slot that counts the boxes
-    with that corner, and is live while the count is above 0.  Every box
-    added or removed goes to ``log``, from which the kept ``cells`` of each
-    case type learn which of their cells to settle again."""
+    The corner anchors are append-only slots: the bin-floor origin and each
+    distinct corner of a placed box has one.  Every box added goes to
+    ``log``, from which the kept ``cells`` of each case type learn which of
+    their cells to settle again."""
 
     def __init__(self, inst: Instance, j: int):
         self.index = j
@@ -97,87 +92,49 @@ class _BinState:
         self._boxes = np.empty((8, 6))
         self._slot: dict[tuple[float, float], int] = {}
         self._xy = np.empty((64, 2))
-        self._uses = np.zeros(64, dtype=int)
-        self._use((self.x0, 0.0), 1)
-        # (x, y, dx, dy) of every box added or removed, in order
+        self._corner((self.x0, 0.0))
+        # (x, y, dx, dy) of every box added, in order
         self.log: list[tuple] = []
         self.cells: dict[tuple, _Cells] = {}
-        self._changed()
+        self._top = 0.0
+        self._grid = None
 
-    def _changed(self) -> None:
-        self._top = self._pairs = self._grid = None
-
-    def _use(self, corner: tuple[float, float], step: int) -> None:
-        """Add ``step`` to the use count of ``corner``'s slot."""
-        slot = self._slot.get(corner)
-        if slot is None:
+    def _corner(self, corner: tuple[float, float]) -> None:
+        """Give ``corner`` a slot unless it has one."""
+        if corner not in self._slot:
             slot = self._slot[corner] = len(self._slot)
-            if slot == len(self._uses):
+            if slot == len(self._xy):
                 self._xy = np.concatenate((self._xy, np.empty_like(self._xy)))
-                self._uses = np.concatenate((self._uses, np.zeros_like(self._uses)))
             self._xy[slot] = corner
-        self._uses[slot] += step
-
-    def _count(self, item: tuple, step: int) -> None:
-        """Log ``item``'s box and add ``step`` to its corners' slots."""
-        _, x, y, _, dx, dy, _ = item
-        self.log.append((x, y, dx, dy))
-        for corner in ((x + dx, y), (x, y + dy), (x, y)):
-            self._use(corner, step)
-        self._changed()
 
     def arrays(self) -> np.ndarray:
         """The items' boxes as a ``(k, 6)`` array, in item order: a view that
         the next change overwrites."""
         return self._boxes[:len(self.items)]
 
-    def support(self):
-        """``support_pairs`` of the items' boxes resting on one another."""
-        if self._pairs is None:
-            arr = self.arrays()
-            self._pairs = support_pairs(arr, *arr[:, :5].T)
-        return self._pairs
-
     def add(self, case_index: int, x: float, y: float, z: float,
             dx: float, dy: float, dz: float) -> None:
-        self.restore((case_index, x, y, z, dx, dy, dz))
-
-    def remove(self, case_index: int) -> tuple:
-        for pos, it in enumerate(self.items):
-            if it[0] == case_index:
-                end = len(self.items)
-                self._boxes[pos:end - 1] = self._boxes[pos + 1:end]
-                self._count(it, -1)
-                return self.items.pop(pos)
-        raise KeyError(case_index)
-
-    def restore(self, item: tuple) -> None:
         end = len(self.items)
         if end == len(self._boxes):
             self._boxes = np.concatenate((self._boxes, np.empty_like(self._boxes)))
-        self._boxes[end] = item[1:]
-        self.items.append(item)
-        self._count(item, 1)
+        self._boxes[end] = x, y, z, dx, dy, dz
+        self.items.append((case_index, x, y, z, dx, dy, dz))
+        self.log.append((x, y, dx, dy))
+        for corner in ((x + dx, y), (x, y + dy), (x, y)):
+            self._corner(corner)
+        self._top = max(self._top, z + dz)
+        self._grid = None
 
     def top(self) -> float:
-        if self._top is None:
-            arr = self.arrays()
-            self._top = float((arr[:, 2] + arr[:, 5]).max(initial=0.0))
         return self._top
 
-    def slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every corner slot's (x, y), live or not, and which are live."""
-        n = len(self._slot)
-        return self._xy[:n], self._uses[:n] > 0
+    def slots(self) -> np.ndarray:
+        """Every corner slot's (x, y), in the order the corners appeared."""
+        return self._xy[:len(self._slot)]
 
-    def anchors(self, dense: bool = False) -> np.ndarray:
-        """Candidate (x, y) anchors, sorted by x then y: the live corner
-        slots (the bin-floor origin plus placed-case corners), or with
-        ``dense`` every pair of corner coordinates."""
-        if not dense:
-            xy, live = self.slots()
-            xy = xy[live]
-            return xy[np.lexsort(xy.T[::-1])]
+    def anchors(self) -> np.ndarray:
+        """The dense anchor grid, sorted by x then y: every pair of an x and
+        a y corner coordinate of the placed boxes and the bin-floor origin."""
         if self._grid is None:
             x, y, _, dx, dy, _ = self.arrays().T
             xs = np.unique(np.concatenate(([self.x0], x, x + dx)))
@@ -203,9 +160,9 @@ class _Cells:
 
 def _touched(xs, ys, a, b, boxes) -> np.ndarray:
     """Which cells, ``a x b`` footprints at ``(xs, ys)`` with one row of
-    ``a`` and ``b`` per dimensions, some of ``boxes`` (rows x, y, dx, dy)
-    overlaps by more than ``tol - _SLACK`` along x and y.  Only such a box
-    can change a cell: its resting height comes from the boxes it overlaps
+    ``a`` and ``b`` per dimensions, some of ``boxes`` (rows x, y, dx, dy,
+    the boxes added since the cells were settled) overlaps by more than
+    ``tol - _SLACK`` along x and y.  Only such a box can change a cell: its resting height comes from the boxes it overlaps
     by more than ``tol``, its support credit from those it overlaps at all.
     The boxes are tested ``_HIT_CELLS // cells`` at a time."""
     reach = DEFAULT_TOL - _SLACK
@@ -303,18 +260,6 @@ class _WorkState:
         self.place[case_index] = (spot.bin_index, spot.x, spot.y, spot.z, spot.orientation)
         self.tops[case_index] = spot.z + dz
 
-    def remove(self, case_index: int) -> tuple:
-        """Take a case out; ``restore`` appends the returned record back."""
-        row = self.place.pop(case_index)
-        self.tops.pop(case_index)
-        return case_index, row, self.bins[row[0]].remove(case_index)
-
-    def restore(self, record: tuple) -> None:
-        case_index, row, item = record
-        self.bins[row[0]].restore(item)
-        self.place[case_index] = row
-        self.tops[case_index] = item[3] + item[6]
-
     def packing(self) -> Packing:
         return Packing(tuple(
             Placement(i, j, x, y, z, k)
@@ -344,7 +289,7 @@ class _WorkState:
             # the full anchor grid is small enough to use outright when few
             # boxes are placed, and it finds tucked spots corners miss
             if len(bs.items) <= 8:
-                spots = self._scan(bs, bs.anchors(True), *args)
+                spots = self._scan(bs, bs.anchors(), *args)
             else:
                 spots = self._corners(bs, *args)
             for k, s in zip(fits, shape_of):
@@ -372,14 +317,14 @@ class _WorkState:
 
     def _corners(self, bs: _BinState, dims: tuple,
                  g_cur: float, opening: float, weight: float) -> list:
-        """``_scan`` over the bin's live corner anchors, from the cells kept
-        for ``dims``: only new slots' cells and cells that a box logged since
+        """``_scan`` over the bin's corner anchors, from the cells kept for
+        ``dims``: only new slots' cells and cells that a box logged since
         could touch are settled again."""
         dims = tuple(dims)
         cells = bs.cells.get(dims)
         if cells is None:
             cells = bs.cells[dims] = _Cells(dims, len(bs.log))
-        xy, live = bs.slots()
+        xy = bs.slots()
         xs, ys = xy[:, 0], xy[:, 1]
         a, b, _ = cells.abc.T[:, :, None]
         old = cells.z.shape[1]
@@ -394,10 +339,9 @@ class _WorkState:
             cells.fresh = np.concatenate((cells.fresh, np.zeros(new, dtype=bool)), axis=1)
             cells.fit = np.concatenate((cells.fit, np.zeros(new, dtype=bool)), axis=1)
             cells.z = np.concatenate((cells.z, np.zeros(new)), axis=1)
-        rows = live & cells.inbin
-        for g, s, z, fit in self._settle_rows(bs, rows & ~cells.fresh, xs, ys, cells.abc):
+        for g, s, z, fit in self._settle_rows(bs, cells.inbin & ~cells.fresh, xs, ys, cells.abc):
             cells.z[g, s], cells.fit[g, s], cells.fresh[g, s] = z, fit, True
-        z = np.where(rows & cells.fit, cells.z, np.inf)
+        z = np.where(cells.inbin & cells.fit, cells.z, np.inf)
         return _scored(_lowest(z, xs, ys), dims, g_cur, opening, weight)
 
     def _settle_rows(self, bs: _BinState, rows: np.ndarray, xs, ys, abc: np.ndarray):
@@ -422,22 +366,6 @@ class _WorkState:
             credit = support_credit(z, a, b, base, area)
             fit &= within_tol(support_deficit(self.threshold, a, b, credit))
         return z, fit
-
-    def removal_safe(self, case_index: int) -> bool:
-        """Would removing this case leave every case resting on it supported?"""
-        if self.threshold is None:
-            return True
-        bs = self.bins[self.place[case_index][0]]
-        pos = next(p for p, it in enumerate(bs.items) if it[0] == case_index)
-        base, box, area = bs.support()
-        resting = base[(box == pos) & (base != pos) & (area > 0)]
-        if not len(resting):
-            return True
-        keep = (box != pos) & (box != base)
-        arr = bs.arrays()
-        z, dx, dy = arr[:, 2], arr[:, 3], arr[:, 4]
-        credit = support_credit(z, dx, dy, base[keep], area[keep])
-        return bool(within_tol(support_deficit(self.threshold, dx, dy, credit))[resting].all())
 
 
 def _case_order(inst: Instance, restart: int, rng: random.Random) -> list[int]:
@@ -512,7 +440,7 @@ def solve_heuristic(inst: Instance, cfg: SolverConfig | None = None) -> Heuristi
         if best_obj is None and restart >= cfg.restarts:
             budget.stats["restarts_rescued"] += 1
         rng = random.Random(f"{cfg.seed}:{restart}")
-        state = _construct(inst, cfg, allowed, threshold, restart, rng, budget)
+        state = _construct(inst, allowed, threshold, restart, rng, budget)
         restart += 1
         stall += 1
         if state is None:
@@ -534,15 +462,14 @@ def _orientation_noise(allowed, restart: int, rng) -> dict[int, float] | None:
     return {k: 1.0 + strength * rng.random() for k in allowed}
 
 
-def _construct(inst, cfg, allowed, threshold, restart, rng, budget) -> _WorkState | None:
+def _construct(inst, allowed, threshold, restart, rng, budget) -> _WorkState | None:
     state = _WorkState(inst, threshold, budget.stats)
     order = _case_order(inst, restart, rng)
     for i in order:
         budget.tick()
         noise = _orientation_noise(allowed, restart, rng)
         if not _insert(state, i, allowed, noise):
-            if not _repair(state, i, allowed, rng, budget, noise):
-                return None
+            return None
     return state
 
 
@@ -552,55 +479,3 @@ def _insert(state: _WorkState, i: int, allowed, noise=None) -> bool:
         return False
     state.commit(i, spot)
     return True
-
-
-def _repair(state: _WorkState, stuck: int, allowed, rng, budget, noise=None,
-            tries: int = 24) -> bool:
-    """Unstick construction: evict a few cases, place the stuck one first,
-    then re-place the evicted ones largest-first."""
-    population = sorted(state.place)
-    if not population:
-        return False
-    for attempt in range(tries):
-        if budget.exhausted() and attempt > 0:
-            return False
-        budget.tick()
-        victims = rng.sample(population, min(2 + attempt // 4, len(population)))
-        if any(not state.removal_safe(v) for v in victims):
-            continue
-        taken = _evict(state, sorted(victims))
-        if taken is None:
-            continue
-        state.stats["repairs_attempted"] += 1
-        placed = []
-        for v in [stuck] + sorted(victims, key=lambda v: -state.inst.cases[v].volume):
-            if not _insert(state, v, allowed, noise):
-                break
-            placed.append(v)
-        if len(placed) == len(victims) + 1:
-            return True
-        state.stats["repairs_undone"] += 1
-        _undo(state, placed, taken)
-    return False
-
-
-def _evict(state: _WorkState, cases) -> list[tuple] | None:
-    """Take ``cases`` out in order, each only while ``removal_safe`` holds at
-    its turn.  All or nothing: returns the removal records, or None after
-    putting back what was already taken."""
-    taken = []
-    for i in cases:
-        if not state.removal_safe(i):
-            _undo(state, (), taken)
-            return None
-        taken.append(state.remove(i))
-    return taken
-
-
-def _undo(state: _WorkState, placed, taken) -> None:
-    """Remove the re-placed cases newest first, then restore the taken ones
-    in order."""
-    for i in reversed(placed):
-        state.remove(i)
-    for record in taken:
-        state.restore(record)

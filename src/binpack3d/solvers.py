@@ -107,11 +107,11 @@ class HeuristicResult:
     anchor and distinct shape of the searched orientations, whose resting
     height and fit were computed; a search settles each distinct shape
     once, and a bin keeps its corner cells between searches and settles a
-    cell again only when a box that could change it was added or removed),
-    ``restarts_failed`` and ``restarts_rescued`` (restarts run beyond
-    ``SolverConfig.restarts`` while none had packed yet), and
-    ``repairs_attempted`` and ``repairs_undone``.  Under ``deterministic``
-    they replay exactly.
+    cell again only when a box that could change it was added),
+    ``restarts_failed`` (constructions that met a case fitting nowhere)
+    and ``restarts_rescued`` (restarts run beyond ``SolverConfig.restarts``
+    while none had packed yet).  Under ``deterministic`` they replay
+    exactly.
     """
 
     packing: Packing | None

@@ -108,6 +108,21 @@ class TestSolve:
         assert code == 0
         assert json.loads(stdout)["solver"] == "exact"
 
+    def test_exact_solver_takes_a_time_limit_past_its_node_rate(self, tmp_path, capsys):
+        doc = {
+            "format_version": 1, "name": "one",
+            "cases": [{"id": 0, "quantity": 1, "length": 1, "width": 2, "height": 3}],
+            "bins": [{"type_id": 0, "quantity": 1, "length": 5, "width": 5, "height": 5}],
+        }
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(
+            ["solve", "--instance", str(path), "--solver", "exact", "--time-limit", "1e305",
+             "--deterministic"], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(stdout)
+        assert report["solver"] == "exact" and report["feasible"] is True
+
 
 class TestExport:
     def test_lp_row_count_matches_formula(self, tmp_path, capsys):
@@ -314,6 +329,21 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("binpack3d: error:")
         assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("name,out", [("x\nMinimize\n obj: + 5 e[0]\nSubject To", "m.lp"),
+                                          ("two words", "m.mps")])
+    def test_instance_name_with_whitespace_is_a_usage_error(self, tmp_path, capsys, name, out):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "name": name,
+            "cases": [{"id": 0, "quantity": 1, "length": 1, "width": 1, "height": 1}],
+            "bins": [{"type_id": 0, "quantity": 1, "length": 5, "width": 5, "height": 5}]}))
+        code, stdout, err = run_cli(["export", "--instance", str(path), "--mode", "linearized",
+                                     "--out", str(tmp_path / out)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("binpack3d: error: instance: name must not contain whitespace")
+        assert err.strip().count("\n") == 0
+        assert not (tmp_path / out).exists()
 
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run_cli(

@@ -43,6 +43,14 @@ class TestAnchors:
         assert res.packing is None and res.objective is None
         assert res.optimal  # enumeration completed: a proof, not a timeout
 
+    def test_time_limit_past_the_node_rate_runs_to_completion(self):
+        """A limit whose node budget overflows a float is an infinite budget:
+        the enumeration finishes, and it finds the optimum."""
+        inst = Instance("one", (CaseSpec(0, 1, 2, 3),), (BinSpec(0, 5, 5, 5),))
+        res = solve_exact(inst, SolverConfig(time_limit=1e305, deterministic=True))
+        assert res.optimal and res.feasible
+        assert res.objective == solve_exact(inst).objective == pytest.approx(5 + 1 + 1)
+
     def test_cap_enforced(self):
         inst = Instance("cap", (CaseSpec(0, 1, 1, 1, quantity=5),),
                         (BinSpec(0, 9, 9, 9),))

@@ -54,6 +54,17 @@ class TestConstruction:
         assert res.stats["restarts_failed"] == res.restarts_run
         assert res.stats["restarts_rescued"] == res.restarts_run - 2 > 0
 
+    @pytest.mark.parametrize("support,seed", [(None, 15), (None, 50), (0.8, 25), (0.8, 42)])
+    def test_bench08_packs_at_the_benchmark_budget(self, support, seed):
+        """At these seeds bench-08 packs only because a construction that
+        meets a case fitting nowhere gives up at once, leaving the budget
+        to further restarts."""
+        inst = load_bundled(8)
+        res = solve_heuristic(inst, SolverConfig(time_limit=20, seed=seed, restarts=2,
+                                                 deterministic=True, support_threshold=support))
+        assert res.feasible
+        assert validate(inst, res.packing, support=support).feasible
+
     def test_upright_orientations_respected(self):
         inst = Instance("upright", (CaseSpec(0, 4, 3, 2, quantity=3),),
                         (BinSpec(0, 12, 12, 12),))
@@ -212,16 +223,16 @@ PINNED_RESULTS = {
     (1, 0.8, "improve"): "fd7f9148ac5a27dfdacfff0972cf2dbeda526e1bc8056212ecebe9dc5afcc7f1",
     (2, None, "improve"): "c0b89da989ec1d20a198a11e7fb45bee901a63d9809759e4874c57981808bb55",
     (2, 0.8, "improve"): "c710be172dba090cea83f9b0c63fa6a2cb1dd3d2918d1d908ca70325ebd2a076",
-    (8, None, "construct"): "c2ff84476c78e0408bbcb33b7a7fc6809359dea64374a2302065effe0af61182",
+    (8, None, "construct"): "8fc88893d5f2fce28d163f0f31a79952cea052a5e7e27d6ba8d5d99d4f84849d",
     (2, 0.8, "construct"): "bbb8facbfcaafbf098948508811253fc09f3765c723a3b6ef13e543e9a91d398",
-    (8, 0.8, "construct"): "2d8e842465a8c173ee848016708248748a7e3e6f08b5234f6ae6fa7c1ae2af0a",
+    (8, 0.8, "construct"): "30c87f16828fea6f9c3da4f22d3490816e881dead8908fbdbd344b2d90f174fd",
     (6, 0.8, "improve-20s"): "8ddebd57a83a2c5d38a0c160f2810f71737f11d6649584c2a70e6a35b673037a",
-    (8, 0.8, "improve-20s"): "f807e4c4b7e31dd701f8898238106feb938851b455c18c83a9f388aa989f5a2f",
+    (8, 0.8, "improve-20s"): "125ed80c063172de7cf2d6c089bbaf600adba9ddb0faa7867606706ddb433fe7",
     (10, None, "improve-20s"): "f9d170b590825be5d36aa82d9f028b8e2d36f689e8757d214d33d1bd102b3d41",
     (15, None, "improve-20s"): "d87401c711a7f760883470ca1a9afa0d695f10970f4cfe6c120c123780dc27dd",
     (12, 0.8, "improve-20s"): "5cb91471886500ea143c6ded096063519378758e4ffd8514b21226e309c5bbd5",
     (15, 0.8, "improve-20s"): "6e348a92bd472cda211bd5cfb1d464b7d9de97ec2c5c35e0a6a4e22a329b63f3",
-    (8, None, "improve-20s"): "baf220553f0f68b8f023cb37ec492c9a3cd79bdd25e70b41b53f00e0e5043e9b",
+    (8, None, "improve-20s"): "c2fbbbfcb426e57c28dbc774572073e623b9cb3425bdf29c891567fc39456b07",
     (9, 0.8, "improve-20s"): "c05f54ad0929cb0dbe935913fb3bd61154742cb06c4d32daf1c8d8430da7c092",
     (11, None, "improve-20s"): "75e887d4304a0359fc4287b0508bf0fc4d166bec1f42a7c9e033c2d84b1f657e",
     (12, None, "improve-20s"): "ae10dd1d1deae8c9bc915cc23146f74cb8ce3aa9d7e871ff2fa8162fc6b01958",
@@ -249,7 +260,10 @@ def test_bundled_results_pinned(number, support, run):
     kept between searches, are where that saves the most settling.  The
     last six, recorded at 7ae8098 before each distinct shape was searched
     once, are runs whose cases have orientations with equal dimensions
-    (a square face); bench-08 without support repairs hundreds of times.
+    (a square face).  bench-08's four digests were re-recorded when a stuck
+    construction stopped being repaired: the packing, objective and restart
+    count stayed, and the trace's one entry moved earlier (12.265 -> 9.35
+    deterministic seconds without support, 2.88 -> 2.28 at 0.8).
     """
     inst = load_bundled(number)
     cfg = SolverConfig(seed=7, deterministic=True, support_threshold=support,
@@ -332,71 +346,33 @@ class TestBinState:
     def test_floor_origin_always_present(self):
         state = self._solved_state(load_bundled(1), 0)
         assert state.items
-        for dense in (False, True):
-            assert [0.0, 0.0] in state.anchors(dense).tolist()
+        assert [0.0, 0.0] in state.anchors().tolist()
+        assert [0.0, 0.0] in state.slots().tolist()
 
     def test_anchors_inside_bin(self):
         inst = Instance("anch", (CaseSpec(0, 2, 2, 2, quantity=2),),
                         (BinSpec(0, 6, 6, 6, quantity=2),))
         for j in range(inst.num_bins):
             state = self._solved_state(inst, j)
-            for dense in (False, True):
-                for x, y in state.anchors(dense).tolist():
-                    assert state.x0 <= x <= state.x1 + 1e-9
-                    assert 0 <= y <= state.width + 1e-9
+            for x, y in state.anchors().tolist() + state.slots().tolist():
+                assert state.x0 <= x <= state.x1 + 1e-9
+                assert 0 <= y <= state.width + 1e-9
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.lists(_item, max_size=12), st.sampled_from([0, 1]), st.data())
-    def test_anchors_and_top_follow_add_and_remove(self, items, j, data):
-        """The cached anchors, box array and top equal their definitions
-        after every change."""
+    @given(st.lists(_item, max_size=24), st.sampled_from([0, 1]))
+    # past the first two doublings of the box buffer
+    @example([(0.0, 0.0, 1.0, 1.0)] * 20, 0)
+    def test_anchors_and_top_follow_add_and_remove(self, items, j):
+        """The cached anchor grid, the corner slots, the box array and the
+        top equal their definitions after every addition."""
         inst = Instance("grid", (CaseSpec(0, 1, 1, 1),), (BinSpec(0, 10, 10, 10, quantity=2),))
         state = heuristic._BinState(inst, j)
-
-        def check():
-            for dense in (False, True):
-                assert state.anchors(dense).tolist() == [
-                    list(p) for p in _reference_anchors(state, dense)]
-            assert state.arrays().tolist() == [list(it[1:]) for it in state.items]
-            assert state.top() == max((it[3] + it[6] for it in state.items), default=0.0)
-
         for i, (x, y, dx, dy) in enumerate(items):
-            state.add(i, state.x0 + x, y, float(i), dx, dy, 1.0)
-            check()
-        if items:
-            record = state.remove(data.draw(st.integers(0, len(items) - 1)))
-            check()
-            state.restore(record)
-            check()
-
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.tuples(st.sampled_from(["add", "add", "remove", "restore"]), _item,
-                              st.integers(0, 99)), max_size=40))
-    # past the first two doublings of the buffer, then removals from its middle
-    @example([("add", (0.0, 0.0, 1.0, 1.0), 0)] * 20 + [("remove", (0.0, 0.0, 1.0, 1.0), 7)] * 5
-             + [("restore", (0.0, 0.0, 1.0, 1.0), 1)] * 3)
-    def test_box_buffer_equals_delete_and_stack(self, steps):
-        """The box buffer, shifted in place on removal and doubled when
-        full, holds what ``np.delete`` and ``np.vstack`` would."""
-        inst = Instance("grid", (CaseSpec(0, 1, 1, 1),), (BinSpec(0, 10, 10, 10),))
-        state = heuristic._BinState(inst, 0)
-        want = np.empty((0, 6))
-        taken = []
-        for n, (kind, (x, y, dx, dy), which) in enumerate(steps):
-            if kind == "add":
-                state.add(n, x, y, n / 7, dx, dy, 1.0 + which / 3)
-                want = np.vstack((want, state.items[-1][1:]))
-            elif kind == "remove" and state.items:
-                pos = which % len(state.items)
-                taken.append(state.remove(state.items[pos][0]))
-                want = np.delete(want, pos, axis=0)
-            elif kind == "restore" and taken:
-                state.restore(taken.pop(which % len(taken)))
-                want = np.vstack((want, state.items[-1][1:]))
-            got = state.arrays()
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert state.top() == max((it[3] + it[6] for it in state.items), default=0.0)
+            state.add(i, state.x0 + x, y, i / 7, dx, dy, 1.0 + i / 3)
+            assert state.anchors().tolist() == [list(p) for p in _reference_anchors(state, True)]
+            assert sorted(map(tuple, state.slots().tolist())) == _reference_anchors(state, False)
+            assert state.arrays().tolist() == [list(it[1:]) for it in state.items]
+            assert state.top() == max(it[3] + it[6] for it in state.items)
 
 
 TOL = DEFAULT_TOL
@@ -406,18 +382,17 @@ _nudged = st.tuples(st.integers(0, 14), st.sampled_from([0.0] * 6 + [-1.5, -1.0,
                     ).map(lambda t: t[0] / 4 + t[1] * TOL)
 _extent = st.tuples(st.integers(1, 8), st.sampled_from([0.0] * 6 + [-1.0, 0.5, 1.0])
                     ).map(lambda t: t[0] / 4 + t[1] * TOL)
-# (kind, box, which item, search afterwards)
-_step = st.tuples(st.sampled_from(["add", "add", "remove", "restore"]),
-                  st.tuples(_nudged, _nudged, _nudged.map(lambda z: z / 2), _extent, _extent,
+# (box added, search afterwards)
+_step = st.tuples(st.tuples(_nudged, _nudged, _nudged.map(lambda z: z / 2), _extent, _extent,
                             _extent),
-                  st.integers(0, 99), st.booleans())
+                  st.booleans())
 _CELL_DIMS = [((1.0, 1.0, 1.0),), ((1.0, 0.75, 1.5), (0.75, 1.0, 1.5), (2.5, 0.25, 0.5))]
 
 
 class TestCellCache:
     """The cells a bin keeps between searches equal a fresh settle after any
-    sequence of additions, removals and restorations, and the lowest
-    feasible (z, y, x) is the (score, z, y, x) pick."""
+    sequence of additions, and the lowest feasible (z, y, x) is the
+    (score, z, y, x) pick."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([None, 0.8]), st.sampled_from([0, 1]),
@@ -425,24 +400,17 @@ class TestCellCache:
            st.sampled_from([1, 100, 1 << 16]))
     # a sliver within tol of the cell at the origin lifts its credit to 0.8
     # at the height it rests at, without changing that height
-    @example(0.8, 0, _CELL_DIMS[0], [
-        ("add", (0.0, 0.0, 0.0, 0.8 - 1.5 * TOL, 1.0, 1.0), 0, True),
-        ("add", (1.0 - TOL, 0.0, 0.0, 1.0, 1.0, 1.0), 0, True)], 1 << 16)
+    @example(0.8, 0, _CELL_DIMS[0], [((0.0, 0.0, 0.0, 0.8 - 1.5 * TOL, 1.0, 1.0), True),
+                                     ((1.0 - TOL, 0.0, 0.0, 1.0, 1.0, 1.0), True)], 1 << 16)
     def test_kept_cells_equal_a_fresh_settle(self, threshold, j, dims, steps, hit_cells):
         """``hit_cells`` bounds the hit mask: at 1 and 100 the logged boxes
         are tested one or a few at a time."""
         inst = Instance("cells", (CaseSpec(0, 1, 1, 1),), (BinSpec(0, 4, 4, 4, quantity=2),))
         state = heuristic._WorkState(inst, threshold)
         bs = state.bins[j]
-        taken = []
         with mock.patch.object(heuristic, "_HIT_CELLS", hit_cells):
-            for n, (kind, (x, y, z, dx, dy, dz), which, search) in enumerate(steps):
-                if kind == "add":
-                    bs.add(n, bs.x0 + x, y, z, dx, dy, dz)
-                elif kind == "remove" and bs.items:
-                    taken.append(bs.remove(bs.items[which % len(bs.items)][0]))
-                elif kind == "restore" and taken:
-                    bs.restore(taken.pop(which % len(taken)))
+            for n, ((x, y, z, dx, dy, dz), search) in enumerate(steps):
+                bs.add(n, bs.x0 + x, y, z, dx, dy, dz)
                 if search or n == len(steps) - 1:
                     self.check(state, bs, list(dims))
 
@@ -450,15 +418,14 @@ class TestCellCache:
     def check(state, bs, dims):
         spots = state._corners(bs, dims, bs.top(), 1.5, 0.01)
         cells = bs.cells[tuple(dims)]
-        xy, live = bs.slots()
+        xy = bs.slots()
         for g, (a, b, c) in enumerate(dims):
             inbin = ((xy[:, 0] + a - bs.x1 <= TOL) & (xy[:, 1] + b - bs.width <= TOL))
             assert cells.inbin[g].tolist() == inbin.tolist()
-            keep = live & inbin
-            z, fit = state._settle(bs, bs.arrays(), xy[keep, 0], xy[keep, 1], a, b, c)
-            assert cells.z[g, keep].tolist() == z.tolist()
-            assert cells.fit[g, keep].tolist() == fit.tolist()
-        assert spots == state._scan(bs, bs.anchors(), dims, bs.top(), 1.5, 0.01)
+            z, fit = state._settle(bs, bs.arrays(), xy[inbin, 0], xy[inbin, 1], a, b, c)
+            assert cells.z[g, inbin].tolist() == z.tolist()
+            assert cells.fit[g, inbin].tolist() == fit.tolist()
+        assert spots == state._scan(bs, xy, dims, bs.top(), 1.5, 0.01)
 
     def test_sliver_example_turns_feasible(self):
         """The example above: the sliver's credit decides the verdict."""
@@ -495,87 +462,6 @@ class TestCellCache:
         assert heuristic._scored(lowest, [(1.0, 1.0, c)], g_cur, opening, weight) == [want]
 
 
-class TestRemovalSafe:
-    @pytest.mark.parametrize("threshold,safe", [(0.8, [False, False, True]),
-                                                (0.5, [True, True, True])])
-    def test_dependents_keep_their_support(self, threshold, safe):
-        inst = Instance("bridge", (CaseSpec(0, 2, 2, 2, quantity=3),),
-                        (BinSpec(0, 10, 10, 10),))
-        state = heuristic._WorkState(inst, threshold)
-        # case 2 rests half on case 0 and half on case 1
-        for i, (x, z) in enumerate([(0.0, 0.0), (2.0, 0.0), (1.0, 2.0)]):
-            state.commit(i, heuristic._Spot(0.0, z, 0.0, x, 0, 1, (2.0, 2.0, 2.0)))
-        assert [state.removal_safe(i) for i in range(3)] == safe
-
-
-def _tower_state():
-    """Case 1 stands on case 0 at threshold 0.8; case 2 stands free."""
-    inst = Instance("tower", (CaseSpec(0, 2, 2, 2, quantity=3),),
-                    (BinSpec(0, 10, 10, 10),))
-    state = heuristic._WorkState(inst, 0.8)
-    for i, (x, z) in enumerate([(0.0, 0.0), (0.0, 2.0), (4.0, 0.0)]):
-        state.commit(i, heuristic._Spot(0.0, z, 0.0, x, 0, 1, (2.0, 2.0, 2.0)))
-    return state
-
-
-def _construction(threshold, inst=None, restart=0):
-    cfg = quick_cfg(deterministic=True, support_threshold=threshold)
-    state = heuristic._construct(inst or load_bundled(1), cfg, ORIENTATIONS, threshold, restart,
-                                 random.Random(0), heuristic._Budget(cfg))
-    assert state is not None
-    return state
-
-
-def _bin_rows(state):
-    """Each bin's (case, x, y, z) rows as the bin states hold them; they
-    must equal the ones ``state.place`` lists."""
-    held = sorted((bs.index, *it[:4]) for bs in state.bins for it in bs.items)
-    assert held == sorted((j, i, x, y, z) for i, (j, x, y, z, _) in state.place.items())
-    return held
-
-
-class TestEvictAndMove:
-    def test_evict_is_all_or_nothing(self):
-        state = _tower_state()
-        pack, obj = state.packing(), state.objective()
-        assert heuristic._evict(state, (2, 0)) is None
-        assert state.packing() == pack
-        assert state.objective() == obj
-        assert len(_bin_rows(state)) == 3
-
-    def test_evict_then_undo_restores(self):
-        state = _tower_state()
-        pack = state.packing()
-        taken = heuristic._evict(state, (1, 0))
-        assert [record[0] for record in taken] == [1, 0] and list(state.place) == [2]
-        heuristic._undo(state, (), taken)
-        assert state.packing() == pack
-
-    @pytest.mark.parametrize("threshold", [None, 0.8])
-    def test_rejected_move_leaves_packing_unchanged(self, threshold):
-        """Evicting cases, re-placing them largest-first and undoing that,
-        as an undone repair does, gives back the same packing and bin rows."""
-        state = _construction(threshold)
-        m = state.inst.num_cases
-        undone = 0
-        for i in range(m):
-            for cases in ((i,), (i, (i + 1) % m)):
-                pack, rows = state.packing(), _bin_rows(state)
-                taken = heuristic._evict(state, cases)
-                if taken is None:
-                    continue
-                placed = []
-                for c in sorted(cases, key=lambda c: -state.inst.cases[c].volume):
-                    if not heuristic._insert(state, c, ORIENTATIONS):
-                        break
-                    placed.append(c)
-                heuristic._undo(state, placed, taken)
-                undone += 1
-                assert state.packing() == pack and _bin_rows(state) == rows
-        assert undone > 0
-        assert validate(state.inst, state.packing(), support=threshold).feasible
-
-
 def _reference_spot(state, i, allowed, noise):
     """``best_spot`` with every allowed orientation searched on its own over
     a fresh settle of the anchors the bin would search."""
@@ -587,8 +473,8 @@ def _reference_spot(state, i, allowed, noise):
             a, b, c = effective_dims(case, k)
             if max(bs.x0 + a - bs.x1, b - bs.width, c - bs.height) > DEFAULT_TOL:
                 continue
-            [spot] = state._scan(bs, bs.anchors(len(bs.items) <= 8), [(a, b, c)], bs.top(),
-                                 opening, state.weight[i])
+            anchors = bs.anchors() if len(bs.items) <= 8 else bs.slots()
+            [spot] = state._scan(bs, anchors, [(a, b, c)], bs.top(), opening, state.weight[i])
             if spot is not None:
                 key = (spot[0] * (noise[k] if noise else 1.0), *spot[1:], bs.index, k)
                 if best is None or key < best[0]:

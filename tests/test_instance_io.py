@@ -57,6 +57,22 @@ class TestParseInstance:
         with pytest.raises(ParseError):
             parse_instance(json.dumps(doc))
 
+    # names that would inject lines into an LP file or split the MPS NAME line
+    @pytest.mark.parametrize("name", ["x\nMinimize\n obj: + 5 e[0]\nSubject To", "two words",
+                                      "tab\tname", "nul\x00", "bell\x07", "nbsp\u00a0",
+                                      "line\u2028sep", " "])
+    def test_name_with_whitespace_or_control_characters_rejected(self, name):
+        doc = json.dumps(sample_doc(name=name))
+        with pytest.raises(ParseError, match="^instance: name must not contain whitespace") as e:
+            parse_instance(doc)
+        assert "\n" not in str(e.value)
+        with pytest.raises(ValueError, match="^name must not contain whitespace"):
+            Instance(name, parse_instance(json.dumps(sample_doc())).case_specs, ())
+
+    @pytest.mark.parametrize("name", ["bench-01", "a_b.c", "ünïcødé", "名前"])
+    def test_printable_names_without_whitespace_accepted(self, name):
+        assert parse_instance(json.dumps(sample_doc(name=name))).name == name
+
     def test_malformed_json_reports_line(self):
         with pytest.raises(ParseError, match="line"):
             parse_instance('{"format_version": 1,\n  broken')

@@ -219,13 +219,6 @@ class TestSolverAgreement:
                                1.0, 1.0, 1.0)
         assert z.tolist() == [1.0] and bool(fit[0]) == verdict
 
-        # with case 1 as a second support under case 2, removing it leaves
-        # case 2 with the same credit
-        state.remove(1)
-        state.commit(1, heuristic._Spot(0.0, 0.0, 0.0, 1.0, 0, 1, (1.0, 1.0, 1.0)))
-        state.commit(2, heuristic._Spot(0.0, 1.0, 0.0, x, 0, 1, (1.0, 1.0, 1.0)))
-        assert state.removal_safe(1) == verdict
-
         boxes = [PlacedBox(*spots[i], 1.0, 1.0, 1.0) for i in (0, 2)]
         assert exact._stable(boxes, (0, 0), 0.7) == verdict
         assert verdict == (credit == 0.7)
