@@ -48,21 +48,34 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-_WRITE_SLICE = 1 << 20  # characters; each write encodes one slice, not the whole text
-
-
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Call ``write`` on an open text file that replaces ``path`` only once
+    ``write`` returns; if it raises, ``path`` is untouched."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:
-            for start in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[start:start + _WRITE_SLICE])
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+class _Counted:
+    """A text stream that passes writes on to ``fh``; ``len()`` is the
+    number of characters written, as it would be of the text itself."""
+
+    def __init__(self, fh) -> None:
+        self.fh, self.chars = fh, 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return self.fh.write(text)
+
+    def __len__(self) -> int:
+        return self.chars
 
 
 def _add_instance_arg(sub: argparse.ArgumentParser) -> None:
@@ -162,9 +175,9 @@ def _cmd_solve(args) -> int:
                        feasible=audit.feasible, objective=result.objective,
                        utilization=audit.utilization)
     if args.out:
-        _atomic_write(args.out, write_packing(inst, result.packing))
+        _atomic_write(args.out, lambda fh: fh.write(write_packing(inst, result.packing)))
     if args.trace:
-        _atomic_write(args.trace, "".join(
+        _atomic_write(args.trace, lambda fh: fh.writelines(
             f"{t:.2f} {obj!r}\n" for t, obj in trace))
     sys.stdout.write(report.to_json())
     return EXIT_OK if audit.feasible else EXIT_INFEASIBLE
@@ -184,8 +197,10 @@ def _cmd_export(args) -> int:
     model = build_model(
         inst, support=threshold, mode=args.mode, big_m=args.big_m,
         mccormick_pieces=args.mccormick_pieces, allowed_orientations=allowed)
-    text = emit_lp(model) if fmt == "lp" else emit_mps(model)
-    _atomic_write(args.out, text)
+    # emit_* returns the stream it was given; _Counted gives that stream the
+    # len() the returned text had, which perfbench's traced run records
+    emit = emit_lp if fmt == "lp" else emit_mps
+    _atomic_write(args.out, lambda fh: emit(model, _Counted(fh)))
     sys.stdout.write(json.dumps({
         "instance": inst.name, "format": fmt, "mode": args.mode,
         "variables": model.num_variables, "constraints": model.num_constraints,
@@ -199,7 +214,7 @@ def _cmd_validate(args) -> int:
     audit = validate(inst, pack, tol=args.tol, support=args.support_threshold)
     text = json.dumps(audit.to_dict(), indent=2) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
     return EXIT_OK if audit.feasible else EXIT_INFEASIBLE
@@ -221,7 +236,7 @@ def _cmd_report(args) -> int:
                        utilization=audit.utilization, relative_gap=gap)
     text = report.to_json()
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
     return EXIT_OK if audit.feasible else EXIT_INFEASIBLE
@@ -230,7 +245,7 @@ def _cmd_report(args) -> int:
 def _cmd_render(args) -> int:
     inst = load_instance_arg(args.instance)
     pack = _load_packing_file(args.packing, inst)
-    _atomic_write(args.out, render_svg(inst, pack, view=args.view))
+    _atomic_write(args.out, lambda fh: fh.write(render_svg(inst, pack, view=args.view)))
     return EXIT_OK
 
 

@@ -11,9 +11,15 @@ names, variable names and these number strings are then gathered by
 index into fixed-stride parts, and the parts of about ``_CHUNK_LINES``
 lines are joined at a time.  MPS columns come from one stable sort of the
 objective and row terms by variable.
+
+Each joined chunk goes to one ``write`` callable as soon as it is made:
+``emit_lp(model, fh)`` streams the text into ``fh`` and keeps no chunk,
+while ``emit_lp(model)`` collects the chunks and returns their join.
 """
 
 from __future__ import annotations
+
+from typing import TextIO
 
 import numpy as np
 
@@ -22,7 +28,8 @@ from .model import BINARY, KINDS, SENSES, Model
 _BINARY = KINDS.index(BINARY)
 
 # Small chunks keep the gathered parts of one chunk, not of the whole text,
-# alive next to the finished chunks (the peak is the final join).
+# alive at a time; when the text is returned as a string, the finished
+# chunks and their final join are the peak.
 _CHUNK_LINES = 1 << 12
 
 _MPS_SENSE = {"<=": "L", ">=": "G", "=": "E"}
@@ -82,8 +89,8 @@ def _take_sorted(items: list[str], index: np.ndarray):
     return field
 
 
-def _lines(out: list[str], n: int, *fields, cuts: dict[int, str] | None = None) -> None:
-    """Append lines 0..n-1 to ``out``, joined at most ``_CHUNK_LINES`` at a time.
+def _lines(write, n: int, *fields, cuts: dict[int, str] | None = None) -> None:
+    """Hand lines 0..n-1 to ``write``, joined at most ``_CHUNK_LINES`` at a time.
 
     Line i is its fields concatenated; a field is a constant string, a
     sequence (item i) or a function of (lo, hi) giving the items of lines
@@ -93,7 +100,7 @@ def _lines(out: list[str], n: int, *fields, cuts: dict[int, str] | None = None) 
     bounds = sorted({*range(0, n, _CHUNK_LINES), *cuts, n})
     for lo, hi in zip(bounds, bounds[1:]):
         if lo in cuts:
-            out.append(cuts[lo])
+            write(cuts[lo])
         parts = np.empty((hi - lo, len(fields)), dtype=object)
         for k, field in enumerate(fields):
             if callable(field):
@@ -101,18 +108,18 @@ def _lines(out: list[str], n: int, *fields, cuts: dict[int, str] | None = None) 
             elif not isinstance(field, str):
                 field = field[lo:hi]
             parts[:, k] = field
-        out.append("".join(parts.ravel().tolist()))
+        write("".join(parts.ravel().tolist()))
     if n in cuts:
-        out.append(cuts[n])
+        write(cuts[n])
 
 
-def _wrapped(out: list[str], indent: str, n: int, *fields) -> None:
+def _wrapped(write, indent: str, n: int, *fields) -> None:
     """Parts 0..n-1 eight to a line, each line led by ``indent``."""
     if n:
         seps = np.full(n, " ", dtype=object)
         seps[0], seps[8::8] = indent, "\n" + indent
-        _lines(out, n, seps, *fields)
-        out.append("\n")
+        _lines(write, n, seps, *fields)
+        write("\n")
 
 
 def _objective(model: Model) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +143,7 @@ def _separators(part: np.ndarray) -> np.ndarray:
     return _ROW_SEPARATORS[np.where(part % 8, 1, 2 * (part > 0))]
 
 
-def _constraint_rows(out: list[str], rows, names: np.ndarray, signed: _Numbers) -> None:
+def _constraint_rows(write, rows, names: np.ndarray, signed: _Numbers) -> None:
     """The ``Subject To`` rows, 1/4 ``_CHUNK_LINES`` rows at a time.
 
     A row is a head (" ", name, ":\\n  "), its parts, then its sense tag
@@ -186,11 +193,18 @@ def _constraint_rows(out: list[str], rows, names: np.ndarray, signed: _Numbers) 
             slots[at + 4] = names[qb[q0:q1]]
         slots[end - 2] = tags[senses[lo:hi] + 3 * has_q]
         slots[end - 1] = rhs_text[rhs[lo:hi]]
-        out.append("".join(slots.tolist()))
+        write("".join(slots.tolist()))
 
 
-def emit_lp(model: Model) -> str:
-    """Render the model as LP text."""
+def emit_lp(model: Model, out: TextIO | None = None) -> str | TextIO:
+    """Render the model as LP text.
+
+    With ``out`` None, return the text as one string.  Otherwise hand each
+    chunk of the text to ``out.write`` as soon as it is made, keep none of
+    it, and return ``out``; the chunks concatenate to the same text.
+    """
+    chunks: list[str] = []
+    write = chunks.append if out is None else out.write
     rows = model.constraints
     names = _objects(model.registry.names)
     binary, lb, ub = _bounds(model.registry)
@@ -198,11 +212,11 @@ def emit_lp(model: Model) -> str:
     signed = _Numbers(np.concatenate([obj_coefs, np.frombuffer(rows.coefs),
                                       np.frombuffer(rows.qcoefs)]),
                       lambda v: _signed(v) + " ")
-    out = [f"\\ Model for instance {model.instance.name}\nMinimize\n obj:\n"]
-    _wrapped(out, "  ", len(obj_idx), _take(signed, obj_coefs), _take(names, obj_idx))
-    out.append("Subject To\n")
-    _constraint_rows(out, rows, names, signed)
-    out.append("Bounds\n")
+    write(f"\\ Model for instance {model.instance.name}\nMinimize\n obj:\n")
+    _wrapped(write, "  ", len(obj_idx), _take(signed, obj_coefs), _take(names, obj_idx))
+    write("Subject To\n")
+    _constraint_rows(write, rows, names, signed)
+    write("Bounds\n")
     shown = np.flatnonzero(~binary | (ub == 0))
     before = np.full(len(shown), " ", dtype=object)
     after = np.full(len(shown), " = 0\n", dtype=object)
@@ -210,15 +224,15 @@ def emit_lp(model: Model) -> str:
     low, high = lb[shown[cont]], ub[shown[cont]]
     before[cont] = _Numbers(low, lambda v: f" {_num(v)} <= ")[low]
     after[cont] = _Numbers(high, lambda v: f" <= {_num(v)}\n")[high]
-    _lines(out, len(shown), before, _take(names, shown), after)
-    out.append("Binaries\n")
+    _lines(write, len(shown), before, _take(names, shown), after)
+    write("Binaries\n")
     binaries = np.flatnonzero(binary)
-    _wrapped(out, " ", len(binaries), _take(names, binaries))
-    out.append("End\n")
-    return "".join(out)
+    _wrapped(write, " ", len(binaries), _take(names, binaries))
+    write("End\n")
+    return "".join(chunks) if out is None else out
 
 
-def _mps_columns(out: list[str], model: Model) -> None:
+def _mps_columns(write, model: Model) -> None:
     """The ``COLUMNS`` entries, with integer markers where the kind flips.
 
     There is one entry per objective term, per variable in no term
@@ -248,12 +262,12 @@ def _mps_columns(out: list[str], model: Model) -> None:
             for pos, v in zip(np.searchsorted(var, flips).tolist(), flips.tolist())}
     if len(binary) and binary[-1]:
         cuts[len(var)] = _MARKERS[2]
-    _lines(out, len(var), "    ", _take_sorted(reg.names, var), " ",
+    _lines(write, len(var), "    ", _take_sorted(reg.names, var), " ",
            lambda lo, hi: row_names[entry_rows[order[lo:hi]]],
            lambda lo, hi: numbers[coefs[order[lo:hi]]], cuts=cuts)
 
 
-def _mps_bounds(out: list[str], reg) -> None:
+def _mps_bounds(write, reg) -> None:
     """A variable's ``BOUNDS`` lines: FX, BV, or LO (when lb != 0) then UP."""
     binary, lb, ub = _bounds(reg)
     low = ~binary & (lb != 0)
@@ -266,27 +280,35 @@ def _mps_bounds(out: list[str], reg) -> None:
     value = np.where(kind == 2, lb[bounded], ub[bounded])[valued]
     suffix[valued] = _Numbers(value, lambda v: f" {_num(v)}\n")[value]
     prefixes = _objects([" FX BND ", " BV BND ", " LO BND ", " UP BND "])
-    _lines(out, len(kind), _take(prefixes, kind), _take_sorted(reg.names, bounded), suffix)
+    _lines(write, len(kind), _take(prefixes, kind), _take_sorted(reg.names, bounded), suffix)
 
 
-def emit_mps(model: Model) -> str:
-    """Render a linearized model as free-format MPS text."""
+def emit_mps(model: Model, out: TextIO | None = None) -> str | TextIO:
+    """Render a linearized model as free-format MPS text.
+
+    ``out`` works as in `emit_lp`: None returns the text as one string,
+    and a writable text stream receives it chunk by chunk and is returned.
+    A quadratic model raises `UnsupportedModeError` before anything is
+    written.
+    """
     if model.mode != "linearized":
         raise UnsupportedModeError(
             "MPS output requires a linearized model; quadratic rows have no MPS form")
+    chunks: list[str] = []
+    write = chunks.append if out is None else out.write
     rows = model.constraints
-    out = [f"NAME {model.instance.name}\nROWS\n N obj\n"]
+    write(f"NAME {model.instance.name}\nROWS\n N obj\n")
     tags = _objects([f" {_MPS_SENSE[sense]} " for sense in SENSES])
-    _lines(out, len(rows), _take(tags, np.frombuffer(rows.senses, dtype=np.uint8)),
+    _lines(write, len(rows), _take(tags, np.frombuffer(rows.senses, dtype=np.uint8)),
            rows.names, "\n")
-    out.append("COLUMNS\n")
-    _mps_columns(out, model)
-    out.append("RHS\n")
+    write("COLUMNS\n")
+    _mps_columns(write, model)
+    write("RHS\n")
     rhs = np.frombuffer(rows.rhs)
     nonzero = np.flatnonzero(rhs != 0)
-    _lines(out, len(nonzero), "    RHS ", _take_sorted(rows.names, nonzero),
+    _lines(write, len(nonzero), "    RHS ", _take_sorted(rows.names, nonzero),
            _take(_Numbers(rhs[nonzero], lambda v: f" {_num(v)}\n"), rhs[nonzero]))
-    out.append("BOUNDS\n")
-    _mps_bounds(out, model.registry)
-    out.append("ENDATA\n")
-    return "".join(out)
+    write("BOUNDS\n")
+    _mps_bounds(write, model.registry)
+    write("ENDATA\n")
+    return "".join(chunks) if out is None else out

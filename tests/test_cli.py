@@ -154,6 +154,18 @@ class TestExport:
         assert err.strip().count("\n") == 0  # single-line diagnostic
         assert not out.exists()  # no partial output
 
+    def test_quadratic_mps_leaves_an_old_file_as_it_was(self, tmp_path, capsys):
+        # the temp file exists before the emitter rejects the model
+        out = tmp_path / "old.mps"
+        out.write_bytes(b"NAME old\nENDATA\n")
+        code, stdout, err = run_cli(
+            ["export", "--instance", "bundled:1", "--mode", "quadratic", "--format", "mps",
+             "--out", str(out)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("binpack3d: error:") and err.count("\n") == 1
+        assert out.read_bytes() == b"NAME old\nENDATA\n"
+        assert os.listdir(tmp_path) == ["old.mps"]
+
     def test_support_model_exports(self, tmp_path, capsys):
         out = tmp_path / "sup.lp"
         code, stdout, _ = run_cli(
@@ -298,26 +310,31 @@ class TestReportRender:
 class TestAtomicWrite:
     def test_text_of_several_slices_round_trips(self, tmp_path):
         encoding = locale.getpreferredencoding(False)
-        size = cli._WRITE_SLICE
-        # "é" takes the bytes on both sides of the first 1 MiB boundary; the
-        # four-byte letter sits at the end of the second slice
-        text = "a" * (size - 1) + "é" + "b" * (size - 2) + "\U0001d538" + "c\n" * size
+        size = 1 << 20
+        # "é" ends the first write and takes the bytes on both sides of the
+        # first 1 MiB boundary; a four-byte letter ends the second write and
+        # another starts the third
+        slices = ["a" * (size - 1) + "é", "b" * (size - 2) + "\U0001d538",
+                  "\U0001d538" + "c\n" * size]
         try:
-            expected = text.encode(encoding)
+            expected = "".join(slices).encode(encoding)
         except UnicodeEncodeError:
             pytest.skip(f"the {encoding} locale encoding has no multi-byte letters")
         path = tmp_path / "out.txt"
-        cli._atomic_write(str(path), text)
+        cli._atomic_write(str(path), lambda fh: [fh.write(piece) for piece in slices])
         assert path.read_bytes() == expected
         assert os.listdir(tmp_path) == ["out.txt"]
 
     def test_failing_write_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_text("before\n")
-        # a lone surrogate has no encoding: the second slice fails to write
-        text = "x" * cli._WRITE_SLICE + "\ud800"
+
+        def write(fh):
+            fh.write("x" * (1 << 20))
+            fh.write("\ud800")  # a lone surrogate has no encoding
+
         with pytest.raises(UnicodeEncodeError):
-            cli._atomic_write(str(path), text)
+            cli._atomic_write(str(path), write)
         assert os.listdir(tmp_path) == ["out.txt"]
         assert path.read_text() == "before\n"
 

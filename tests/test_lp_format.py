@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import pathlib
 import re
@@ -252,10 +253,21 @@ def synthetic_model(variables, objective, rows, mode="linearized") -> Model:
     return model
 
 
-def assert_same_text(model: Model) -> None:
-    assert emit_lp(model) == lp_reference.emit_lp(model)
+def emitters(model: Model):
+    """The emitters that accept ``model``, each with its reference."""
+    yield emit_lp, lp_reference.emit_lp
     if model.mode == "linearized":
-        assert emit_mps(model) == lp_reference.emit_mps(model)
+        yield emit_mps, lp_reference.emit_mps
+
+
+def assert_same_text(model: Model) -> None:
+    """Both the returned and the streamed text equal the reference."""
+    for emit, reference in emitters(model):
+        expected = reference(model)
+        assert emit(model) == expected
+        stream = io.StringIO()
+        assert emit(model, stream) is stream
+        assert stream.getvalue() == expected
 
 
 @st.composite
@@ -300,9 +312,11 @@ class TestAgainstReference:
         quadratic = synthetic_model(variables, objective,
                                     rows + [("<=", 1.0, [], [(0, 1, -1.0), (3, 3, 0.5)])],
                                     "quadratic")
-        assert emit_lp(quadratic) == lp_reference.emit_lp(quadratic)
+        assert_same_text(quadratic)
+        stream = io.StringIO()
         with pytest.raises(UnsupportedModeError):
-            emit_mps(quadratic)
+            emit_mps(quadratic, stream)
+        assert stream.getvalue() == ""
 
     def test_models_without_variables(self):
         assert_same_text(synthetic_model([], [], []))
@@ -319,3 +333,34 @@ class TestAgainstReference:
     def test_bundled(self, number, support):
         for mode in ("linearized", "quadratic"):
             assert_same_text(build_model(load_bundled(number), support=support, mode=mode))
+
+
+class TestStreamed:
+    """``emit_*(model, out)`` writes the returned text to ``out`` in pieces."""
+
+    @pytest.mark.parametrize("model", [
+        lambda: build_model(golden_instance()), support_model,
+        lambda: support_model(mode="quadratic"),
+        lambda: build_model(mixed_bin_instance(), support=0.8)], ids=[
+        "golden", "support", "quadratic", "two-bin-types"])
+    def test_streamed_text_equals_returned_text(self, model):
+        model = model()
+        for emit, _ in emitters(model):
+            stream = io.StringIO()
+            assert emit(model, stream) is stream
+            assert stream.getvalue() == emit(model)
+
+    def test_pieces_stay_bounded(self):
+        """No write hands over more than 1 Mi characters, so streaming never
+        holds the whole text; bench-10's largest piece is about 0.2 Mi."""
+
+        class Lengths(list):
+            def write(self, text: str) -> None:
+                self.append(len(text))
+
+        inst = load_bundled(10)
+        for mode in ("linearized", "quadratic"):
+            model = build_model(inst, support=0.8, mode=mode)
+            for emit, _ in emitters(model):
+                lengths = emit(model, Lengths())
+                assert len(lengths) > 1 and max(lengths) <= 1 << 20, (emit.__name__, mode)
