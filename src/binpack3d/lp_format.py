@@ -9,8 +9,12 @@ No line and no term is formatted on its own.  Each distinct number is
 formatted once, with its separators (``" 0.5\\n"``, ``"- 2 "``); row
 names, variable names and these number strings are then gathered by
 index into fixed-stride parts, and the parts of about ``_CHUNK_LINES``
-lines are joined at a time.  MPS columns come from one stable sort of the
-objective and row terms by variable.
+lines are joined at a time.  No row name is made as a string: a row's
+name is three parts, head, label and tail, gathered from the small tables
+of ``RowStore.name_index``, with the separators around the name folded
+into the head and tail tables.  MPS columns come from one stable sort of
+the objective and row terms by variable, kept as that order and the row
+of each sorted entry; each chunk gathers its coefficients and name parts.
 
 Each joined chunk goes to one ``write`` callable as soon as it is made:
 ``emit_lp(model, fh)`` streams the text into ``fh`` and keeps no chunk,
@@ -94,20 +98,24 @@ def _lines(write, n: int, *fields, cuts: dict[int, str] | None = None) -> None:
 
     Line i is its fields concatenated; a field is a constant string, a
     sequence (item i) or a function of (lo, hi) giving the items of lines
-    lo..hi-1.  ``cuts`` maps a line number (up to n) to text put before it.
+    lo..hi-1, or a tuple of such item arrays for that many consecutive
+    parts.  ``cuts`` maps a line number (up to n) to text put before it.
     """
     cuts = cuts or {}
     bounds = sorted({*range(0, n, _CHUNK_LINES), *cuts, n})
     for lo, hi in zip(bounds, bounds[1:]):
         if lo in cuts:
             write(cuts[lo])
-        parts = np.empty((hi - lo, len(fields)), dtype=object)
-        for k, field in enumerate(fields):
+        columns = []
+        for field in fields:
             if callable(field):
                 field = field(lo, hi)
             elif not isinstance(field, str):
                 field = field[lo:hi]
-            parts[:, k] = field
+            columns += field if isinstance(field, tuple) else (field,)
+        parts = np.empty((hi - lo, len(columns)), dtype=object)
+        for k, column in enumerate(columns):
+            parts[:, k] = column
         write("".join(parts.ravel().tolist()))
     if n in cuts:
         write(cuts[n])
@@ -143,14 +151,34 @@ def _separators(part: np.ndarray) -> np.ndarray:
     return _ROW_SEPARATORS[np.where(part % 8, 1, 2 * (part > 0))]
 
 
+def _row_names(rows, index: np.ndarray | None = None, lead: str = "", trail: str = ""):
+    """A `_lines` field of three parts: the head, label and tail of the name
+    of row ``index[i]`` (of row i when ``index`` is None), with ``lead``
+    before and ``trail`` after the name.  Row -1 is named "obj"."""
+    heads, labels, family, label = rows.name_index()
+    head_text = _objects([lead + head for head, _ in heads] + [lead + "obj"])
+    tail_text = _objects([tail + trail for _, tail in heads] + [trail])
+    label_text = _objects(labels + [""])
+    family = np.append(family, np.int32(len(heads)))
+    label = np.append(label, np.int32(len(labels)))
+
+    def field(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        at = slice(lo, hi) if index is None else index[lo:hi]
+        fam = family[at]
+        return head_text[fam], label_text[label[at]], tail_text[fam]
+
+    return field
+
+
 def _constraint_rows(write, rows, names: np.ndarray, signed: _Numbers) -> None:
     """The ``Subject To`` rows, 1/4 ``_CHUNK_LINES`` rows at a time.
 
-    A row is a head (" ", name, ":\\n  "), its parts, then its sense tag
-    and right-hand side.  A linear part is three slots: separator, signed
-    coefficient and variable name; the separator starts a new line before
-    every eighth part.  The quadratic block is one more part: separator,
-    then five slots per product, its closing " ]" led by the sense tag.
+    A row is its name (three slots, led by " " and followed by ":\\n  "),
+    its parts, then its sense tag and right-hand side.  A linear part is
+    three slots: separator, signed coefficient and variable name; the
+    separator starts a new line before every eighth part.  The quadratic
+    block is one more part: separator, then five slots per product, its
+    closing " ]" led by the sense tag.
     """
     indptr = np.frombuffer(rows.indptr, dtype=np.int64)
     cols, coefs = np.frombuffer(rows.cols, dtype=np.int32), np.frombuffer(rows.coefs)
@@ -160,6 +188,7 @@ def _constraint_rows(write, rows, names: np.ndarray, signed: _Numbers) -> None:
     senses, rhs = np.frombuffer(rows.senses, dtype=np.uint8), np.frombuffer(rows.rhs)
     tags = _objects([f"{close}\n  {sense} " for close in ("", " ]") for sense in SENSES])
     rhs_text = _Numbers(rhs, lambda v: _num(v) + "\n")
+    row_names = _row_names(rows, lead=" ", trail=":\n  ")
     block = _CHUNK_LINES // 4  # a row takes three lines or more
     for lo in range(0, len(rows), block):
         hi = min(lo + block, len(rows))
@@ -174,7 +203,7 @@ def _constraint_rows(write, rows, names: np.ndarray, signed: _Numbers) -> None:
         end = np.cumsum(width)
         head = end - width
         slots = np.empty(end[-1], dtype=object)
-        slots[head], slots[head + 1], slots[head + 2] = " ", rows.names[lo:hi], ":\n  "
+        slots[head], slots[head + 1], slots[head + 2] = row_names(lo, hi)
         row = np.repeat(np.arange(hi - lo), nt)
         part = np.arange(stop - base) - starts[row]
         at = head[row] + 3 + 3 * part
@@ -209,7 +238,7 @@ def emit_lp(model: Model, out: TextIO | None = None) -> str | TextIO:
     names = _objects(model.registry.names)
     binary, lb, ub = _bounds(model.registry)
     obj_idx, obj_coefs = _objective(model)
-    signed = _Numbers(np.concatenate([obj_coefs, np.frombuffer(rows.coefs),
+    signed = _Numbers(np.concatenate([obj_coefs, np.unique(np.frombuffer(rows.coefs)),
                                       np.frombuffer(rows.qcoefs)]),
                       lambda v: _signed(v) + " ")
     write(f"\\ Model for instance {model.instance.name}\nMinimize\n obj:\n")
@@ -238,33 +267,42 @@ def _mps_columns(write, model: Model) -> None:
     There is one entry per objective term, per variable in no term
     ("obj 0") and per row term, in that order; a stable sort by variable
     then lists a variable's objective entries first and its rows in model
-    order.
+    order.  The sorted entries are kept as their variable, their place in
+    that order and their row (-1 for "obj"); each chunk gathers its
+    coefficients from the objective and ``rows.coefs``.
     """
     reg, rows = model.registry, model.constraints
     obj_idx, obj_coefs = _objective(model)
-    cols = np.frombuffer(rows.cols, dtype=np.int32)
+    cols, coefs = np.frombuffer(rows.cols, dtype=np.int32), np.frombuffer(rows.coefs)
     used = np.zeros(len(reg), dtype=bool)
     used[cols], used[obj_idx] = True, True
     unused = np.flatnonzero(~used)
+    lead = np.concatenate([obj_coefs, np.zeros(len(unused))])
+    numbers = _Numbers(np.concatenate([lead, np.unique(coefs)]), lambda v: f" {_num(v)}\n")
     var = np.concatenate([obj_idx, unused, cols], dtype=np.int32)
-    order = np.argsort(var, kind="stable")
+    order = np.argsort(var, kind="stable").astype(np.int32)
     var = var[order]
-    entry_rows = np.concatenate([np.full(len(obj_idx) + len(unused), -1, dtype=np.int32),
-                                 rows.row_of()])
-    coefs = np.concatenate([obj_coefs, np.zeros(len(unused)), np.frombuffer(rows.coefs)])
-    numbers = _Numbers(coefs, lambda v: f" {_num(v)}\n")
-    row_names = np.empty(len(rows) + 1, dtype=object)
-    row_names[:-1], row_names[-1] = rows.names, "obj"
+    # Row -1 ("obj") once per leading entry, then each row once per term.
+    row = np.repeat(np.arange(-1, len(rows), dtype=np.int32),
+                    np.diff(np.frombuffer(rows.indptr, dtype=np.int64), prepend=-len(lead)))[order]
+
+    def coefficients(lo: int, hi: int) -> np.ndarray:
+        entry = order[lo:hi]
+        first = entry < len(lead)
+        values = np.empty(hi - lo)
+        values[first] = lead[entry[first]]
+        values[~first] = coefs[entry[~first] - len(lead)]
+        return numbers[values]
 
     binary = _bounds(reg)[0]
     flips = np.flatnonzero(np.diff(binary.astype(np.int8), prepend=0))
     cuts = {pos: _MARKERS[0] if binary[v] else _MARKERS[1]
-            for pos, v in zip(np.searchsorted(var, flips).tolist(), flips.tolist())}
+            for pos, v in zip(np.searchsorted(var, flips.astype(np.int32)).tolist(),
+                              flips.tolist())}
     if len(binary) and binary[-1]:
         cuts[len(var)] = _MARKERS[2]
-    _lines(write, len(var), "    ", _take_sorted(reg.names, var), " ",
-           lambda lo, hi: row_names[entry_rows[order[lo:hi]]],
-           lambda lo, hi: numbers[coefs[order[lo:hi]]], cuts=cuts)
+    _lines(write, len(var), "    ", _take_sorted(reg.names, var),
+           _row_names(rows, row, " "), coefficients, cuts=cuts)
 
 
 def _mps_bounds(write, reg) -> None:
@@ -300,13 +338,13 @@ def emit_mps(model: Model, out: TextIO | None = None) -> str | TextIO:
     write(f"NAME {model.instance.name}\nROWS\n N obj\n")
     tags = _objects([f" {_MPS_SENSE[sense]} " for sense in SENSES])
     _lines(write, len(rows), _take(tags, np.frombuffer(rows.senses, dtype=np.uint8)),
-           rows.names, "\n")
+           _row_names(rows, trail="\n"))
     write("COLUMNS\n")
     _mps_columns(write, model)
     write("RHS\n")
     rhs = np.frombuffer(rows.rhs)
     nonzero = np.flatnonzero(rhs != 0)
-    _lines(write, len(nonzero), "    RHS ", _take_sorted(rows.names, nonzero),
+    _lines(write, len(nonzero), _row_names(rows, nonzero, "    RHS "),
            _take(_Numbers(rhs[nonzero], lambda v: f" {_num(v)}\n"), rhs[nonzero]))
     write("BOUNDS\n")
     _mps_bounds(write, model.registry)

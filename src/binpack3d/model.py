@@ -32,7 +32,9 @@ family, and one numpy block per row family, or per group of families
 whose rows alternate case by case or pair by pair.  Each block records
 where it sits (``VariableRegistry.families``, ``RowStore.families``), and
 the packing map and the big-M audit address the model by those index
-ranges; the names above are for the LP/MPS text.
+ranges.  Variable names are kept; row names are not.  A row block keeps
+its families' name heads and its units' labels, and a row's name is made
+from them when the LP/MPS text or a violation report asks for it.
 """
 
 from __future__ import annotations
@@ -154,19 +156,23 @@ _SENSE_CODE = {sense: code for code, sense in enumerate(SENSES)}
 class RowStore(Sequence):
     """Constraint rows in flat arrays, read as a sequence of ``Constraint``.
 
-    Row r has name ``names[r]``, sense ``SENSES[senses[r]]``, right-hand
-    side ``rhs[r]`` and linear terms ``cols``/``coefs`` over
-    ``indptr[r]:indptr[r + 1]`` (CSR).  Quadratic terms are kept only for
-    the rows that have them, in row order: ``qrows[t]`` owns the product
-    ``qcoefs[t] * v[qa[t]] * v[qb[t]]``.  Indexing builds a fresh
-    ``Constraint``; rows are only ever appended, a block at a time.
-    ``families`` locates each row family, keyed by its name and suffix
-    (``sep,3``): ``(first, stride, count)`` means rows ``first + stride * u``
-    for units ``u < count``.
+    Row r has sense ``SENSES[senses[r]]``, right-hand side ``rhs[r]`` and
+    linear terms ``cols``/``coefs`` over ``indptr[r]:indptr[r + 1]`` (CSR).
+    Quadratic terms are kept only for the rows that have them, in row
+    order: ``qrows[t]`` owns the product ``qcoefs[t] * v[qa[t]] * v[qb[t]]``.
+    Indexing builds a fresh ``Constraint``; rows are only ever appended, a
+    block at a time.  ``families`` locates each row family, keyed by its
+    name and suffix (``sep,3``): ``(first, stride, count)`` means rows
+    ``first + stride * u`` for units ``u < count``.
+
+    Names are not stored.  ``blocks`` holds one ``(first, heads, labels)``
+    per block: from row ``first`` on, unit u has one row per (head, tail)
+    pair in ``heads``, named ``head + labels[u] + tail``.  ``name`` and
+    ``name_index`` make names from these on request, and ``names`` makes
+    all of them.
     """
 
     def __init__(self) -> None:
-        self.names: list[str] = []
         self.senses = bytearray()
         self.rhs = array("d")
         self.indptr = array("q", [0])
@@ -175,14 +181,15 @@ class RowStore(Sequence):
         self.qa, self.qb = array("i"), array("i")
         self.qcoefs = array("d")
         self.families: dict[str, tuple[int, int, int]] = {}
+        self.blocks: list[tuple[int, tuple[tuple[str, str], ...], list[str]]] = []
 
     def __len__(self) -> int:
-        return len(self.names)
+        return len(self.senses)
 
     def __getitem__(self, row: int) -> Constraint:
         if row < 0:
-            row += len(self.names)
-        if not 0 <= row < len(self.names):
+            row += len(self)
+        if not 0 <= row < len(self):
             raise IndexError("row index out of range")
         start, stop = self.indptr[row], self.indptr[row + 1]
         qstart = bisect_left(self.qrows, row)
@@ -191,17 +198,47 @@ class RowStore(Sequence):
         if qstop > qstart:
             qterms = list(zip(self.qa[qstart:qstop], self.qb[qstart:qstop],
                               self.qcoefs[qstart:qstop]))
-        return Constraint(self.names[row], SENSES[self.senses[row]], self.rhs[row],
+        return Constraint(self.name(row), SENSES[self.senses[row]], self.rhs[row],
                           list(zip(self.cols[start:stop], self.coefs[start:stop])),
                           qterms)
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self.names)))
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def names(self) -> list[str]:
+        """Every row name, in row order (a fresh list)."""
+        return [head + label + tail for _, heads, labels in self.blocks
+                for label in labels for head, tail in heads]
+
+    def name(self, row: int) -> str:
+        """The name of row ``row`` (0 <= row < len)."""
+        first, heads, labels = self.blocks[
+            bisect_right([first for first, _, _ in self.blocks], row) - 1]
+        unit, family = divmod(row - first, len(heads))
+        head, tail = heads[family]
+        return head + labels[unit] + tail
+
+    def name_index(self) -> tuple[list[tuple[str, str]], list[str], np.ndarray, np.ndarray]:
+        """The names as two small tables and two indexes into them: row r
+        is named ``head + labels[label[r]] + tail`` with ``(head, tail) =
+        heads[family[r]]``.  The tables hold each block's entries in turn."""
+        heads: list[tuple[str, str]] = []
+        labels: list[str] = []
+        family, label = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+        for _, block_heads, block_labels in self.blocks:
+            family.append(np.tile(np.arange(len(heads), len(heads) + len(block_heads),
+                                            dtype=np.int32), len(block_labels)))
+            label.append(np.repeat(np.arange(len(labels), len(labels) + len(block_labels),
+                                             dtype=np.int32), len(block_heads)))
+            heads += block_heads
+            labels += block_labels
+        return heads, labels, np.concatenate(family), np.concatenate(label)
 
     def row_of(self):
         """Row index of every linear term, as a numpy array."""
         counts = np.diff(np.frombuffer(self.indptr, dtype=np.int64))
-        return np.repeat(np.arange(len(self.names), dtype=np.int32), counts)
+        return np.repeat(np.arange(len(self), dtype=np.int32), counts)
 
 
 class _RowBlock:
@@ -239,7 +276,7 @@ class _RowBlock:
 
     def write(self) -> None:
         """Append the rows to the store, unit by unit, as one CSR block, and
-        record where each family's rows sit."""
+        record where each family's rows sit and what their names are made of."""
         if not self.families:
             return
         rows, units = self.rows, len(self.labels)
@@ -261,8 +298,8 @@ class _RowBlock:
                             (rows.qrows, qrows), (rows.qa, qa), (rows.qb, qb),
                             (rows.qcoefs, qcoefs)):
             store.frombytes(np.ascontiguousarray(part, dtype=store.typecode).view(np.uint8))
+        rows.blocks.append((len(rows), heads, self.labels))
         rows.senses.extend(bytes(senses) * units)
-        rows.names.extend([head + label + tail for label in self.labels for head, tail in heads])
 
 
 @dataclass
@@ -658,7 +695,7 @@ def check_assignment(model: Model, values, tol: float = DEFAULT_TOL) -> list[Row
     # How far each row is past its sense, in SENSES order "<=", ">=", "=";
     # a NaN excess is a violation.
     excess = np.select([sense == 0, sense == 1], [gap, -gap], np.abs(gap))
-    return out + [RowViolation(rows.names[row], excess[row].item())
+    return out + [RowViolation(rows.name(row), excess[row].item())
                   for row in np.flatnonzero(~(excess <= tol)).tolist()]
 
 
@@ -821,4 +858,4 @@ def audit_big_m(model: Model, slack: float = 1e-9) -> list[str]:
     if missing.any():
         raise KeyError(reg.names[col[missing][np.argmin(row[missing])]])
     have = sign * np.frombuffer(rows.coefs)[order[hit]]
-    return [rows.names[r] for r in np.sort(row[have < need - slack]).tolist()]
+    return [rows.name(r) for r in np.sort(row[have < need - slack]).tolist()]

@@ -94,3 +94,13 @@ def stacked_packing(inst: Instance) -> Packing:
         placements.append(Placement(i, 0, 0.0, 0.0, z, 1))
         z += case.height
     return Packing(tuple(placements))
+
+
+def mixed_bin_instance() -> Instance:
+    """Two bin types (two bins of one, one of the other) of different sizes:
+    bins 1 and 2 start off the frame origin, and each type has its own
+    in-order usage rows."""
+    return Instance("mixed-bins",
+                    (CaseSpec(0, 2.3, 1.7, 0.9, quantity=2), CaseSpec(1, 3.1, 2.2, 1.3),
+                     CaseSpec(2, 1.1, 0.7, 2.6)),
+                    (BinSpec(0, 6.1, 4.3, 3.7, quantity=2), BinSpec(1, 7.3, 5.2, 2.9)))

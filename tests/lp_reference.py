@@ -78,7 +78,7 @@ def emit_lp(model: Model) -> str:
     """Render the model as LP text."""
     reg = model.registry
     rows = model.constraints
-    names = reg.names
+    names, row_names = reg.names, rows.names
     signed = _Formatted(_signed)
     num = _Formatted(_num)
     text = _Text()
@@ -105,7 +105,7 @@ def emit_lp(model: Model) -> str:
                 q += 1
             if qparts:
                 parts.append("+ [ " + " ".join(qparts) + " ]")
-            out.append(f" {rows.names[row]}:")
+            out.append(f" {row_names[row]}:")
             if len(parts) <= 8:  # most rows: one line, without the call
                 out.append("  " + " ".join(parts))
             else:
@@ -143,6 +143,7 @@ def emit_mps(model: Model) -> str:
             "MPS output requires a linearized model; quadratic rows have no MPS form")
     reg = model.registry
     rows = model.constraints
+    row_names = rows.names
     num = _Formatted(_num)
     text = _Text()
     out = text.lines
@@ -153,7 +154,7 @@ def emit_mps(model: Model) -> str:
     for lo in range(0, len(rows), _CHUNK_LINES):
         hi = lo + _CHUNK_LINES
         out.extend([tags[sense] + name
-                    for sense, name in zip(rows.senses[lo:hi], rows.names[lo:hi])])
+                    for sense, name in zip(rows.senses[lo:hi], row_names[lo:hi])])
         text.flush()
 
     # Column-major entries, variables in registry order: a variable's
@@ -181,7 +182,7 @@ def emit_mps(model: Model) -> str:
         for coef in obj_coefs:
             out.append(f"{head}obj {num[coef]}")
         for row, coef in islice(entries, counts[idx]):
-            out.append(f"{head}{rows.names[row]} {num[coef]}")
+            out.append(f"{head}{row_names[row]} {num[coef]}")
         if not obj_coefs and not counts[idx]:
             out.append(f"{head}obj 0")
         if len(out) >= _CHUNK_LINES:
@@ -193,7 +194,7 @@ def emit_mps(model: Model) -> str:
     out.append("RHS")
     for row, rhs in enumerate(rows.rhs):
         if rhs != 0:
-            out.append(f"    RHS {rows.names[row]} {num[rhs]}")
+            out.append(f"    RHS {row_names[row]} {num[rhs]}")
             if len(out) >= _CHUNK_LINES:
                 text.flush()
     out.append("BOUNDS")

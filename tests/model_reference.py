@@ -1,10 +1,11 @@
-"""Reference packing map and big-M audit for the differential tests.
+"""Reference packing map, big-M audit and row names for the differential tests.
 
 These are the name-keyed loops that ``binpack3d.model`` replaced, kept
 verbatim: the map formats a key per variable and per pair, and the audit
 parses each row name and finds each coefficient by a linear scan.  They
 define the value maps and failure lists the indexed versions must
-reproduce.
+reproduce.  ``row_names`` is the eager row-name list ``build_model`` used
+to store, one string per row, made with the formula it used.
 """
 
 from __future__ import annotations
@@ -185,3 +186,40 @@ def audit_big_m(model: Model, slack: float = 1e-9) -> list[str]:
         if need is not None and have < need - slack:
             failures.append(con.name)
     return failures
+
+
+def row_names(model: Model) -> list[str]:
+    """Every row name in row order, as ``build_model`` made them when it
+    stored them: per block of row families over a list of unit labels,
+    ``head + label + tail`` for each unit and, within it, each family."""
+    inst = model.instance
+    m, n = inst.num_cases, inst.num_bins
+    cases = [str(i) for i in range(m)]
+    units = [f"{i},{j}" for i in range(m) for j in range(n)]
+    pairs = [f"{i},{i2}" for i in range(m) for i2 in range(i + 1, m)]
+    ordered = [f"{i},{i2}" for i in range(m) for i2 in range(m) if i2 != i]
+    later = [str(j - 1) for group in inst.type_ranges for j in group[1:]]
+    blocks = [(cases, ["orient_pick"]), (cases, ["eff_x", "eff_y", "eff_z"]),
+              (cases, ["assign_one"]), (units, ["assign_use"]), (later, ["bin_order"]),
+              ([f"{pair},{j}" for pair in pairs for j in range(n)],
+               [f"sep,{q}" for q in range(6)]),
+              (pairs, ["sep_pick"]),
+              (units, ["bound_xhi", "bound_xlo", "bound_yhi", "bound_zhi", "top_height"])]
+    if model.support is not None:
+        area = (["sup_area"] if model.mode == "quadratic" else
+                ["mc_pick", "mc_lo", "mc_hi"] + [f"mc_ub{k},{p}"
+                                                 for p in range(model.mccormick_pieces)
+                                                 for k in (1, 2)])
+        blocks += [(cases, ["sup_min"]),
+                   (ordered, ["touch_zlo", "touch_zhi", "touch_xlo", "touch_xhi",
+                              "touch_ylo", "touch_yhi", "sup_cap", *area]
+                    + [f"ov{axis}_{side}" for axis in "xy" for side in "abcd"]),
+                   (cases, ["ground_touch", "ground_cap"])]
+    names: list[str] = []
+    for labels, families in blocks:
+        heads = []
+        for family in families:
+            name, _, suffix = family.partition(",")
+            heads.append((f"{name}[", f",{suffix}]" if suffix else "]"))
+        names.extend([head + label + tail for label in labels for head, tail in heads])
+    return names

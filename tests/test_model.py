@@ -183,14 +183,14 @@ class TestRegistry:
         reg, rows = model.registry, model.constraints
         assert [name.split("[")[0] for name in reg.names] == [
             family for family, block in reg.families.items() for _ in block]
-        owner = [None] * len(rows)
+        owner, names = [None] * len(rows), rows.names
         for key, (first, stride, count) in rows.families.items():
             family, _, suffix = key.partition(",")
             for row in range(first, first + stride * count, stride):
                 assert owner[row] is None
                 owner[row] = key
-                assert rows.names[row].startswith(family + "[")
-                assert rows.names[row].endswith(f",{suffix}]" if suffix else "]")
+                assert names[row].startswith(family + "[")
+                assert names[row].endswith(f",{suffix}]" if suffix else "]")
         assert None not in owner
 
     @pytest.mark.parametrize("lb,ub,bad", [

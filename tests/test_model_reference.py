@@ -1,4 +1,4 @@
-"""Differential tests of the packing map and the big-M audit.
+"""Differential tests of the packing map, the big-M audit and the row names.
 
 ``packing_to_assignment`` and ``audit_big_m`` address the model by the
 index ranges ``build_model`` records.  The name-keyed loops they replaced
@@ -7,11 +7,16 @@ maps must be repr-identical (same keys, same order, same floats) and
 failure lists identical, also after coefficients are corrupted.  The
 vectorized map rests on numpy's ``triu_indices``/``nonzero`` order and on
 ``argmax`` returning the first True of a row.
+
+Row names are made on request from the block records; the eager list
+``build_model`` used to store, ``model_reference.row_names``, defines them,
+whole, sliced and gathered, and as the violation and audit reports give them.
 """
 
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,10 +32,12 @@ from binpack3d.geometry import (
 )
 from binpack3d.heuristic import solve_heuristic
 from binpack3d.instance_io import load_bundled
-from binpack3d.model import audit_big_m, build_model, packing_to_assignment
+from binpack3d.lp_format import _row_names
+from binpack3d.model import audit_big_m, build_model, check_assignment, packing_to_assignment
 from binpack3d.solvers import SolverConfig
 
 import model_reference
+from conftest import mixed_bin_instance
 
 SIDES = st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.0])
 # Lattice offsets make cases touch, stack and share faces; the jitter
@@ -124,3 +131,78 @@ def test_bundled_models_match_the_name_keyed_loops(number):
                                   (0.8, "quadratic", "tight")):
         model = build_model(inst, support=support, mode=mode, big_m=policy)
         assert_same(model, packs, lambda terms: rng.sample(range(terms), 5))
+
+
+# --- row names ---------------------------------------------------------------
+
+NAMED_INSTANCES = [*range(1, 8), "mixed"]
+
+
+def named_model(which, support, mode):
+    inst = mixed_bin_instance() if which == "mixed" else load_bundled(which)
+    return build_model(inst, support=support, mode=mode)
+
+
+@pytest.mark.parametrize("which", NAMED_INSTANCES)
+@pytest.mark.parametrize("support", [None, 0.8])
+@pytest.mark.parametrize("mode", ["linearized", "quadratic"])
+def test_row_names_match_the_eager_list(which, support, mode):
+    model = named_model(which, support, mode)
+    rows, expected = model.constraints, model_reference.row_names(model)
+    assert rows.names == expected
+    # every block's first and last row, and random rows
+    rng = random.Random(f"{which}-{support}-{mode}")
+    index = [first + step for first, _, _ in rows.blocks for step in (-1, 0)][1:]
+    index = np.array(index + [len(rows) - 1] + [rng.randrange(len(rows)) for _ in range(500)])
+    assert [rows.name(r) for r in index.tolist()] == [expected[r] for r in index]
+    heads, labels, family, label = rows.name_index()
+    assert len(family) == len(label) == len(rows)
+    assert [heads[f][0] + labels[u] + heads[f][1] for f, u in
+            zip(family[index].tolist(), label[index].tolist())] == [expected[r] for r in index]
+    # the emitters' gatherer: separators around the name, "obj" at row -1
+    index = np.append(index, -1)
+    parts = _row_names(rows, index, "<", ">\n")(0, len(index))
+    assert ["".join(p) for p in zip(*(part.tolist() for part in parts))] == (
+        [f"<{expected[r]}>\n" for r in index[:-1]] + ["<obj>\n"])
+
+
+def violated_rows(model, values, tol=1e-6) -> list[int]:
+    """Rows ``values`` violates, found by a plain loop over row terms."""
+    vec = [values.get(name, 0.0) for name in model.registry.names]
+    out = []
+    for row, con in enumerate(model.constraints):
+        lhs = sum(coef * vec[idx] for idx, coef in con.terms)
+        lhs += sum(coef * vec[a] * vec[b] for a, b, coef in con.qterms or ())
+        gap = lhs - con.rhs
+        excess = gap if con.sense == "<=" else -gap if con.sense == ">=" else abs(gap)
+        if not excess <= tol:
+            out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("which", [1, "mixed"])
+@pytest.mark.parametrize("support,mode", [
+    (None, "linearized"), (0.8, "linearized"), (0.8, "quadratic")])
+def test_reports_name_rows_as_the_eager_list(which, support, mode):
+    model = named_model(which, support, mode)
+    expected, reg = model_reference.row_names(model), model.registry
+    rng = random.Random(f"{which}-{support}-{mode}")
+    # all zero, then each variable anywhere in its bounds
+    for values in ({}, {name: rng.uniform(lo, hi)
+                        for name, lo, hi in zip(reg.names, reg.lb, reg.ub)}):
+        reported = [r.name for r in check_assignment(model, values)
+                    if not r.name.startswith(("lb:", "ub:"))]
+        assert reported and reported == [expected[row] for row in violated_rows(model, values)]
+    # Halve the terms of the first, middle and last row of every family:
+    # the audit names those whose activator constant is now short.
+    rows = model.constraints
+    shrunk = set()
+    for first, stride, count in rows.families.values():
+        for row in {first, first + stride * (count // 2), first + stride * (count - 1)}:
+            shrunk.add(row)
+            for term in range(rows.indptr[row], rows.indptr[row + 1]):
+                rows.coefs[term] *= 0.5
+    failures = audit_big_m(model)
+    assert failures == model_reference.audit_big_m(model)
+    assert failures and failures == [expected[row] for row in sorted(shrunk)
+                                     if expected[row] in failures]
