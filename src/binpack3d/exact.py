@@ -35,6 +35,8 @@ from .geometry import (
 from .solvers import ExactResult, SolverConfig
 
 _CHECK_EVERY = 4096
+# largest instance, in cases, the enumeration takes on
+_CASE_CAP = 4
 _NODES_PER_SECOND = 200_000
 
 
@@ -55,9 +57,8 @@ def solve_exact(inst: Instance, cfg: SolverConfig | None = None) -> ExactResult:
     """
     cfg = cfg or SolverConfig()
     m, n = inst.num_cases, inst.num_bins
-    if m > cfg.exact_cap:
-        raise ValueError(
-            f"exact solver capped at {cfg.exact_cap} cases, instance has {m}")
+    if m > _CASE_CAP:
+        raise ValueError(f"exact solver capped at {_CASE_CAP} cases, instance has {m}")
     if m == 0:
         return ExactResult(Packing(()), 0.0, True)
 

@@ -2,23 +2,25 @@
 
 Construction inserts cases in volume-descending order (perturbed per
 restart) at the anchor minimizing the incremental objective over all
-allowed orientations.  Anchors are corner points of placed cases plus the
-bin-floor origin; the z coordinate always comes from dropping the case
-onto the highest surface below its footprint, which keeps placements
-overlap-free by construction.  While a bin holds at most 8 cases the dense
-grid of corner coordinates is searched instead.  Each (anchor, shape) row
-is a cell: where the box rests there and whether it fits.  A search
-settles each distinct ``(a, b, c)`` the allowed orientations give once,
-and the cells of all of them in a bin through ``rest_heights`` and the
-support check as one batch; it picks each shape's feasible cell lowest in
-(z, y, x), which is its first in (score, z, y, x) order because the score
-does not fall as z rises, and every orientation with that shape takes it
-under its own noise-scaled score.  On corner anchors a bin keeps the cells
-between searches, per case type, and settles again only the cells of new
-corners and those that a box added since overlaps by more than
-``tol - _SLACK``: a cell's resting height depends only on the boxes it
-overlaps by more than ``tol``, its support credit only on boxes it
-overlaps at all, so every other cell is what a fresh settle would give.
+allowed orientations.  Anchors are slots a bin keeps: the bin-floor
+origin and the corner points of placed cases, and while a bin holds at
+most ``_GRID_BOXES`` cases every pair of an x and a y corner coordinate
+too; past that the search uses the corner slots only.  The z coordinate
+always comes from dropping the case onto the highest surface below its
+footprint, which keeps placements overlap-free by construction.  Each
+(slot, shape) row is a cell: where the box rests there and whether it
+fits.  A search settles each distinct ``(a, b, c)`` the allowed
+orientations give once, and the cells of all of them in a bin through
+``rest_heights`` and the support check as one batch; it picks each
+shape's feasible cell lowest in (z, y, x), which is its first in
+(score, z, y, x) order because the score does not fall as z rises, and
+every orientation with that shape takes it under its own noise-scaled
+score.  A bin keeps the cells between searches, per case type, and
+settles again only the cells of new slots and those that a box added
+since overlaps by more than ``tol - _SLACK``: a cell's resting height
+depends only on the boxes it overlaps by more than ``tol``, its support
+credit only on boxes it overlaps at all, so every other cell is what a
+fresh settle would give.
 Resting heights, support credit and the boundary and support verdicts
 come from ``geometry``, the rules the validator judges by.  A case that
 fits nowhere ends the construction, and the restart counts as failed.
@@ -59,6 +61,9 @@ from .geometry import (
 from .solvers import DETERMINISTIC_STEPS_PER_SECOND, HeuristicResult, SolverConfig
 
 _ANCHOR_CHUNK = 4096
+# a bin searches the grid of its boxes' corner coordinates while it holds
+# at most this many boxes: the grid finds tucked spots the corners miss
+_GRID_BOXES = 8
 # a box re-settles the cells it overlaps by more than tol - _SLACK
 _SLACK = 2 * DEFAULT_TOL
 # bound on the (cells x logged boxes) mask of ``_touched``
@@ -74,13 +79,14 @@ def _new_stats() -> dict[str, int]:
 class _BinState:
     """Mutable working set of one bin's placed boxes: the item records and,
     row for row, their boxes in the first rows of a ``(capacity, 6)``
-    buffer, which doubles when full.  The anchor grid is cached until the
-    next box is added.
+    buffer, which doubles when full.
 
-    The corner anchors are append-only slots: the bin-floor origin and each
-    distinct corner of a placed box has one.  Every box added goes to
-    ``log``, from which the kept ``cells`` of each case type learn which of
-    their cells to settle again."""
+    The anchors are append-only slots.  The bin-floor origin and each
+    distinct corner of a placed box has one, flagged as a corner; while the
+    bin holds at most ``_GRID_BOXES`` boxes so does every pair of an x and
+    a y coordinate of their corners.  Every box added goes to ``log``, from
+    which the kept ``cells`` of each case type learn which of their cells
+    to settle again."""
 
     def __init__(self, inst: Instance, j: int):
         self.index = j
@@ -92,20 +98,27 @@ class _BinState:
         self._boxes = np.empty((8, 6))
         self._slot: dict[tuple[float, float], int] = {}
         self._xy = np.empty((64, 2))
-        self._corner((self.x0, 0.0))
+        self._corner = np.empty(64, dtype=bool)
+        # the grid's coordinates, in first-seen order
+        self._gx, self._gy = {self.x0: None}, {0.0: None}
+        self._point((self.x0, 0.0), True)
         # (x, y, dx, dy) of every box added, in order
         self.log: list[tuple] = []
         self.cells: dict[tuple, _Cells] = {}
         self._top = 0.0
-        self._grid = None
 
-    def _corner(self, corner: tuple[float, float]) -> None:
-        """Give ``corner`` a slot unless it has one."""
-        if corner not in self._slot:
-            slot = self._slot[corner] = len(self._slot)
+    def _point(self, xy: tuple[float, float], corner: bool) -> None:
+        """Give ``xy`` a slot unless it has one, and flag it if a corner."""
+        slot = self._slot.get(xy)
+        if slot is None:
+            slot = self._slot[xy] = len(self._slot)
             if slot == len(self._xy):
                 self._xy = np.concatenate((self._xy, np.empty_like(self._xy)))
-            self._xy[slot] = corner
+                self._corner = np.concatenate((self._corner, np.empty_like(self._corner)))
+            self._xy[slot] = xy
+            self._corner[slot] = corner
+        elif corner:
+            self._corner[slot] = True
 
     def arrays(self) -> np.ndarray:
         """The items' boxes as a ``(k, 6)`` array, in item order: a view that
@@ -120,32 +133,31 @@ class _BinState:
         self._boxes[end] = x, y, z, dx, dy, dz
         self.items.append((case_index, x, y, z, dx, dy, dz))
         self.log.append((x, y, dx, dy))
+        if end < _GRID_BOXES:
+            self._gx.update(dict.fromkeys((x, x + dx)))
+            self._gy.update(dict.fromkeys((y, y + dy)))
+            for gx in self._gx:
+                for gy in self._gy:
+                    self._point((gx, gy), False)
         for corner in ((x + dx, y), (x, y + dy), (x, y)):
-            self._corner(corner)
+            self._point(corner, True)
         self._top = max(self._top, z + dz)
-        self._grid = None
 
     def top(self) -> float:
         return self._top
 
     def slots(self) -> np.ndarray:
-        """Every corner slot's (x, y), in the order the corners appeared."""
+        """Every slot's (x, y), in the order the points appeared."""
         return self._xy[:len(self._slot)]
 
-    def anchors(self) -> np.ndarray:
-        """The dense anchor grid, sorted by x then y: every pair of an x and
-        a y corner coordinate of the placed boxes and the bin-floor origin."""
-        if self._grid is None:
-            x, y, _, dx, dy, _ = self.arrays().T
-            xs = np.unique(np.concatenate(([self.x0], x, x + dx)))
-            ys = np.unique(np.concatenate(([0.0], y, y + dy)))
-            self._grid = np.column_stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs))))
-        return self._grid
+    def corners(self) -> np.ndarray:
+        """Per slot, whether it is the origin or a placed box's corner."""
+        return self._corner[:len(self._slot)]
 
 
 class _Cells:
     """One bin's kept placement cells for one tuple of box dimensions
-    ``(a, b, c)``: per dimensions (row) and corner slot (column), where the
+    ``(a, b, c)``: per dimensions (row) and slot (column), where the
     box rests, whether it fits there (in the bin, below its top, supported)
     and whether that is still known (``fresh``: settled, and no box logged
     since could have changed it).  ``seen`` counts the log entries applied."""
@@ -285,13 +297,7 @@ class _WorkState:
             if not fits:
                 continue
             opening = 0.0 if bs.items else self.inst.bins[bs.index].height
-            args = (shapes, bs.top(), opening, self.weight[case_index])
-            # the full anchor grid is small enough to use outright when few
-            # boxes are placed, and it finds tucked spots corners miss
-            if len(bs.items) <= 8:
-                spots = self._scan(bs, bs.anchors(), *args)
-            else:
-                spots = self._corners(bs, *args)
+            spots = self._search(bs, shapes, bs.top(), opening, self.weight[case_index])
             for k, s in zip(fits, shape_of):
                 if spots[s] is not None:
                     score, z, y, x = spots[s]
@@ -301,26 +307,13 @@ class _WorkState:
                         best, best_key = _Spot(score, z, y, x, bs.index, k, shapes[s]), key
         return best
 
-    def _scan(self, bs: _BinState, anchors: np.ndarray, dims: list[tuple],
-              g_cur: float, opening: float, weight: float) -> list:
-        """Best (score, z, y, x) over an anchor array for each ``(a, b, c)``
-        in ``dims``, or None where no anchor fits.  The in-bin anchors of all
-        dims are settled together, ``_ANCHOR_CHUNK`` rows at a time."""
-        xs, ys = anchors[:, 0], anchors[:, 1]
-        abc = np.array(dims)
-        a, b, _ = abc.T[:, :, None]
-        rows = within_tol(overhang(xs, a, bs.x1)) & within_tol(overhang(ys, b, bs.width))
-        z = np.full(rows.shape, np.inf)
-        for g, s, zs, fit in self._settle_rows(bs, rows, xs, ys, abc):
-            z[g[fit], s[fit]] = zs[fit]
-        return _scored(_lowest(z, xs, ys), dims, g_cur, opening, weight)
-
-    def _corners(self, bs: _BinState, dims: tuple,
-                 g_cur: float, opening: float, weight: float) -> list:
-        """``_scan`` over the bin's corner anchors, from the cells kept for
-        ``dims``: only new slots' cells and cells that a box logged since
-        could touch are settled again."""
-        dims = tuple(dims)
+    def _search(self, bs: _BinState, dims: tuple,
+                g_cur: float, opening: float, weight: float) -> list:
+        """Best (score, z, y, x) over the bin's slots for each ``(a, b, c)``
+        in ``dims``, or None where none fits: over every slot while the bin
+        holds at most ``_GRID_BOXES`` boxes, over the corner slots after
+        that.  The cells kept for ``dims`` are settled again only where a
+        slot is new or a box logged since could touch the cell."""
         cells = bs.cells.get(dims)
         if cells is None:
             cells = bs.cells[dims] = _Cells(dims, len(bs.log))
@@ -339,9 +332,10 @@ class _WorkState:
             cells.fresh = np.concatenate((cells.fresh, np.zeros(new, dtype=bool)), axis=1)
             cells.fit = np.concatenate((cells.fit, np.zeros(new, dtype=bool)), axis=1)
             cells.z = np.concatenate((cells.z, np.zeros(new)), axis=1)
-        for g, s, z, fit in self._settle_rows(bs, cells.inbin & ~cells.fresh, xs, ys, cells.abc):
+        live = cells.inbin if len(bs.items) <= _GRID_BOXES else cells.inbin & bs.corners()
+        for g, s, z, fit in self._settle_rows(bs, live & ~cells.fresh, xs, ys, cells.abc):
             cells.z[g, s], cells.fit[g, s], cells.fresh[g, s] = z, fit, True
-        z = np.where(cells.inbin & cells.fit, cells.z, np.inf)
+        z = np.where(live & cells.fit, cells.z, np.inf)
         return _scored(_lowest(z, xs, ys), dims, g_cur, opening, weight)
 
     def _settle_rows(self, bs: _BinState, rows: np.ndarray, xs, ys, abc: np.ndarray):

@@ -41,7 +41,6 @@ class SolverConfig:
     neighborhood: Mapping[str, float] = field(default_factory=lambda: DEFAULT_NEIGHBORHOOD)
     orientations: int = 6
     deterministic: bool = False
-    exact_cap: int = 4
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "neighborhood", MappingProxyType(dict(self.neighborhood)))
@@ -52,7 +51,7 @@ class SolverConfig:
                              f"got {self.time_limit!r}")
         if self.support_threshold is not None and not 0 <= self.support_threshold <= 1:
             raise ValueError("support_threshold must be in [0, 1]")
-        for name in ("restarts", "orientations", "exact_cap"):
+        for name in ("restarts", "orientations"):
             value = getattr(self, name)
             if isinstance(value, bool) or not hasattr(type(value), "__index__"):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -60,8 +59,6 @@ class SolverConfig:
             raise ValueError("restarts must be >= 1")
         if self.orientations not in (2, 6):
             raise ValueError("orientations must be 2 or 6")
-        if self.exact_cap < 0:
-            raise ValueError("exact_cap must be >= 0")
         for name, weight in self.neighborhood.items():
             if name not in DEFAULT_NEIGHBORHOOD:
                 raise ValueError(f"neighborhood: unknown search {name!r} "
@@ -104,9 +101,9 @@ class HeuristicResult:
 
     ``restarts_run`` counts constructions.  ``stats`` counts the run's
     work: ``best_spot_calls``, ``rows_settled`` (placement cells, one per
-    anchor and distinct shape of the searched orientations, whose resting
-    height and fit were computed; a search settles each distinct shape
-    once, and a bin keeps its corner cells between searches and settles a
+    searched slot and distinct shape of the searched orientations, whose
+    resting height and fit were computed; a search settles each distinct
+    shape once, and a bin keeps its cells between searches and settles a
     cell again only when a box that could change it was added),
     ``restarts_failed`` (constructions that met a case fitting nowhere)
     and ``restarts_rescued`` (restarts run beyond ``SolverConfig.restarts``

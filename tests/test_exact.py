@@ -56,7 +56,6 @@ class TestAnchors:
                         (BinSpec(0, 9, 9, 9),))
         with pytest.raises(ValueError, match="capped"):
             solve_exact(inst)
-        assert solve_exact(inst, SolverConfig(exact_cap=5)).feasible
 
 
 class TestSearchBehavior:

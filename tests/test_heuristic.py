@@ -278,8 +278,42 @@ def _tie_instance():
                     (BinSpec(0, 10, 10, 10, quantity=2),))
 
 
+def _scan(state, bs, anchors, dims, g_cur, opening, weight):
+    """Fresh-settle oracle: best (score, z, y, x) over an anchor array for
+    each ``(a, b, c)`` in ``dims``, or None where no anchor fits, with
+    every dims' in-bin anchors settled on their own."""
+    xs, ys = anchors[:, 0], anchors[:, 1]
+    z = np.full((len(dims), len(xs)), np.inf)
+    for g, (a, b, c) in enumerate(dims):
+        inbin = np.flatnonzero((xs + a - bs.x1 <= DEFAULT_TOL) & (ys + b - bs.width <= DEFAULT_TOL))
+        zs, fit = state._settle(bs, bs.arrays(), xs[inbin], ys[inbin], a, b, c)
+        z[g, inbin[fit]] = zs[fit]
+    return heuristic._scored(heuristic._lowest(z, xs, ys), dims, g_cur, opening, weight)
+
+
+def _reference_anchors(state, dense):
+    """Anchors as sorted sets of corner tuples: the grid of the first
+    ``_GRID_BOXES`` boxes' corner coordinates, or every box's corners."""
+    if dense:
+        xs, ys = {state.x0}, {0.0}
+        for _, px, py, _, dx, dy, _ in state.items[:heuristic._GRID_BOXES]:
+            xs.update((px, px + dx))
+            ys.update((py, py + dy))
+        return [(x, y) for x in sorted(xs) for y in sorted(ys)]
+    pairs = {(state.x0, 0.0)}
+    for _, px, py, _, dx, dy, _ in state.items:
+        pairs.update(((px + dx, py), (px, py + dy), (px, py)))
+    return sorted(pairs)
+
+
+def _searched(bs):
+    """The anchors a bin's search covers, worked out from its items: the
+    grid while it holds at most ``_GRID_BOXES`` boxes, the corners after."""
+    return np.array(_reference_anchors(bs, len(bs.items) <= heuristic._GRID_BOXES))
+
+
 class TestAnchorChunks:
-    """Anchors are scanned in chunks; the chunk size must not change the
+    """Cells are settled in chunks; the chunk size must not change the
     pick, so chunks merge in the (score, z, y, x) order used within one."""
 
     @staticmethod
@@ -304,27 +338,11 @@ class TestAnchorChunks:
         assert spots[1] == spots[7] == spots[4096]
         assert (spots[1][1].x, spots[1][1].y, spots[1][1].z) == (2.0, 0.0, 0.0)
 
-    def test_ties_on_an_empty_bin_break_by_y_then_x(self, monkeypatch):
+    def test_ties_on_an_empty_bin_break_by_y_then_x(self):
         state = heuristic._WorkState(_tie_instance(), None)
         diagonal = np.array([(x, 4.0 - x) for x in range(5)], dtype=float)
-        for chunk in (1, 7, 4096):
-            monkeypatch.setattr(heuristic, "_ANCHOR_CHUNK", chunk)
-            spots = state._scan(state.bins[0], diagonal, [(1.0, 1.0, 1.0)], 0.0, 0.0, 0.0)
-            assert spots == [(1.0, 0.0, 0.0, 4.0)]  # (score, z, y, x)
-
-
-def _reference_anchors(state, dense):
-    """Anchors as sorted sets of corner tuples."""
-    if dense:
-        xs, ys = {state.x0}, {0.0}
-        for _, px, py, _, dx, dy, _ in state.items:
-            xs.update((px, px + dx))
-            ys.update((py, py + dy))
-        return [(x, y) for x in sorted(xs) for y in sorted(ys)]
-    pairs = {(state.x0, 0.0)}
-    for _, px, py, _, dx, dy, _ in state.items:
-        pairs.update(((px + dx, py), (px, py + dy), (px, py)))
-    return sorted(pairs)
+        spots = _scan(state, state.bins[0], diagonal, [(1.0, 1.0, 1.0)], 0.0, 0.0, 0.0)
+        assert spots == [(1.0, 0.0, 0.0, 4.0)]  # (score, z, y, x)
 
 
 _coord = st.integers(0, 40).map(lambda v: v / 4)
@@ -346,15 +364,14 @@ class TestBinState:
     def test_floor_origin_always_present(self):
         state = self._solved_state(load_bundled(1), 0)
         assert state.items
-        assert [0.0, 0.0] in state.anchors().tolist()
-        assert [0.0, 0.0] in state.slots().tolist()
+        assert state.slots()[0].tolist() == [0.0, 0.0] and state.corners()[0]
 
     def test_anchors_inside_bin(self):
         inst = Instance("anch", (CaseSpec(0, 2, 2, 2, quantity=2),),
                         (BinSpec(0, 6, 6, 6, quantity=2),))
         for j in range(inst.num_bins):
             state = self._solved_state(inst, j)
-            for x, y in state.anchors().tolist() + state.slots().tolist():
+            for x, y in state.slots().tolist():
                 assert state.x0 <= x <= state.x1 + 1e-9
                 assert 0 <= y <= state.width + 1e-9
 
@@ -362,17 +379,48 @@ class TestBinState:
     @given(st.lists(_item, max_size=24), st.sampled_from([0, 1]))
     # past the first two doublings of the box buffer
     @example([(0.0, 0.0, 1.0, 1.0)] * 20, 0)
-    def test_anchors_and_top_follow_add_and_remove(self, items, j):
-        """The cached anchor grid, the corner slots, the box array and the
-        top equal their definitions after every addition."""
+    def test_slots_and_top_follow_add(self, items, j):
+        """The slots, their corner flags, the box array and the top equal
+        their definitions after every addition: the slots are the corners
+        and the grid of the first ``_GRID_BOXES`` boxes, each once, and
+        appended in place."""
         inst = Instance("grid", (CaseSpec(0, 1, 1, 1),), (BinSpec(0, 10, 10, 10, quantity=2),))
         state = heuristic._BinState(inst, j)
+        before = []
         for i, (x, y, dx, dy) in enumerate(items):
             state.add(i, state.x0 + x, y, i / 7, dx, dy, 1.0 + i / 3)
-            assert state.anchors().tolist() == [list(p) for p in _reference_anchors(state, True)]
-            assert sorted(map(tuple, state.slots().tolist())) == _reference_anchors(state, False)
+            slots = list(map(tuple, state.slots().tolist()))
+            corners = _reference_anchors(state, False)
+            assert slots[:len(before)] == before
+            assert sorted(slots) == sorted({*_reference_anchors(state, True), *corners})
+            assert sorted(p for p, flag in zip(slots, state.corners()) if flag) == corners
+            before = slots
             assert state.arrays().tolist() == [list(it[1:]) for it in state.items]
             assert state.top() == max(it[3] + it[6] for it in state.items)
+
+    # a 9th box that fills the gap's far end, or whose corner lands on (3, 2)
+    @pytest.mark.parametrize("ninth,after", [((3.0, 8.0, 1.0, 2.0, 2.5), (3.0, 0.0, 1.5)),
+                                             ((3.0, 0.0, 0.5, 2.0, 1.5), (3.0, 2.0, 0.0))])
+    def test_grid_slots_serve_the_first_grid_boxes_only(self, ninth, after):
+        """Boxes too tall to stack a unit cube on leave it a floor gap
+        ``[3, 4) x [2, 10)`` whose low end (3, 2) is a grid slot and no
+        box's corner: the search takes it while the bin holds 8 boxes, and
+        after a 9th box only if that box has a corner there."""
+        inst = Instance("gap", (CaseSpec(0, 1, 1, 1),), (BinSpec(0, 10, 10, 3),))
+        state = heuristic._WorkState(inst, None)
+        bs = state.bins[0]
+        boxes = [(0.0, 0.0, 3.0, 10.0, 2.5), (3.5, 0.0, 6.5, 2.0, 1.5)] + [
+            (4.0, y0, 6.0, y1 - y0, 2.5) for y0, y1 in ((2, 3), (3, 4), (4, 5), (5, 6), (6, 8),
+                                                        (8, 10))]
+        picks = []
+        for n, (x, y, dx, dy, dz) in enumerate([*boxes, ninth]):
+            bs.add(n, x, y, 0.0, dx, dy, dz)
+            if n >= heuristic._GRID_BOXES - 1:
+                spot = state.best_spot(0, (1,))
+                picks.append((spot.x, spot.y, spot.z))
+        assert picks == [(3.0, 2.0, 0.0), after]
+        slot = bs.slots().tolist().index([3.0, 2.0])
+        assert bs.corners()[slot] == (after == (3.0, 2.0, 0.0))
 
 
 TOL = DEFAULT_TOL
@@ -402,6 +450,9 @@ class TestCellCache:
     # at the height it rests at, without changing that height
     @example(0.8, 0, _CELL_DIMS[0], [((0.0, 0.0, 0.0, 0.8 - 1.5 * TOL, 1.0, 1.0), True),
                                      ((1.0 - TOL, 0.0, 0.0, 1.0, 1.0, 1.0), True)], 1 << 16)
+    # searches on either side of the grid's last box, with kept grid cells
+    @example(None, 1, _CELL_DIMS[1], [((n % 4, n // 4 * 0.75, 0.0, 1.0, 0.75, 0.5), n >= 6)
+                                      for n in range(11)], 1 << 16)
     def test_kept_cells_equal_a_fresh_settle(self, threshold, j, dims, steps, hit_cells):
         """``hit_cells`` bounds the hit mask: at 1 and 100 the logged boxes
         are tested one or a few at a time."""
@@ -412,20 +463,26 @@ class TestCellCache:
             for n, ((x, y, z, dx, dy, dz), search) in enumerate(steps):
                 bs.add(n, bs.x0 + x, y, z, dx, dy, dz)
                 if search or n == len(steps) - 1:
-                    self.check(state, bs, list(dims))
+                    self.check(state, bs, dims)
 
     @staticmethod
     def check(state, bs, dims):
-        spots = state._corners(bs, dims, bs.top(), 1.5, 0.01)
-        cells = bs.cells[tuple(dims)]
+        """The kept cells of the anchors the search covers, and its pick,
+        equal the oracle's fresh settle of those anchors."""
+        spots = state._search(bs, dims, bs.top(), 1.5, 0.01)
+        cells = bs.cells[dims]
         xy = bs.slots()
+        searched = _searched(bs)
+        wanted = set(map(tuple, searched.tolist()))
+        used = np.array([p in wanted for p in map(tuple, xy.tolist())])
         for g, (a, b, c) in enumerate(dims):
             inbin = ((xy[:, 0] + a - bs.x1 <= TOL) & (xy[:, 1] + b - bs.width <= TOL))
             assert cells.inbin[g].tolist() == inbin.tolist()
+            inbin &= used
             z, fit = state._settle(bs, bs.arrays(), xy[inbin, 0], xy[inbin, 1], a, b, c)
             assert cells.z[g, inbin].tolist() == z.tolist()
             assert cells.fit[g, inbin].tolist() == fit.tolist()
-        assert spots == state._scan(bs, xy, dims, bs.top(), 1.5, 0.01)
+        assert spots == _scan(state, bs, searched, dims, bs.top(), 1.5, 0.01)
 
     def test_sliver_example_turns_feasible(self):
         """The example above: the sliver's credit decides the verdict."""
@@ -435,7 +492,7 @@ class TestCellCache:
         cells = []
         for i, x, dx in ((0, 0.0, 0.8 - 1.5 * TOL), (1, 1.0 - TOL, 1.0)):
             bs.add(i, x, 0.0, 0.0, dx, 1.0, 1.0)
-            state._corners(bs, [(1.0, 1.0, 1.0)], 1.0, 0.0, 0.01)
+            state._search(bs, ((1.0, 1.0, 1.0),), 1.0, 0.0, 0.01)
             origin = bs.cells[(1.0, 1.0, 1.0),]
             cells.append((float(origin.z[0, 0]), bool(origin.fit[0, 0])))
         assert cells == [(1.0, False), (1.0, True)]
@@ -473,8 +530,8 @@ def _reference_spot(state, i, allowed, noise):
             a, b, c = effective_dims(case, k)
             if max(bs.x0 + a - bs.x1, b - bs.width, c - bs.height) > DEFAULT_TOL:
                 continue
-            anchors = bs.anchors() if len(bs.items) <= 8 else bs.slots()
-            [spot] = state._scan(bs, anchors, [(a, b, c)], bs.top(), opening, state.weight[i])
+            [spot] = _scan(state, bs, _searched(bs), [(a, b, c)], bs.top(), opening,
+                           state.weight[i])
             if spot is not None:
                 key = (spot[0] * (noise[k] if noise else 1.0), *spot[1:], bs.index, k)
                 if best is None or key < best[0]:
@@ -586,8 +643,8 @@ class TestConfig:
         ({"restarts": True}, "restarts"),
         ({"orientations": 6.0}, "orientations"),
         ({"orientations": False}, "orientations"),
-        ({"exact_cap": -1}, "exact_cap"),
-        ({"exact_cap": 4.0}, "exact_cap"),
+        ({"restarts": 0}, "restarts"),
+        ({"orientations": 4}, "orientations"),
         ({"neighborhood": {"restart": -0.1}}, "'restart'"),
         ({"neighborhood": {"restart": float("nan")}}, "'restart'"),
         ({"neighborhood": {"restart": float("inf")}}, "'restart'")])
