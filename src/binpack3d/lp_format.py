@@ -12,9 +12,10 @@ index into fixed-stride parts, and the parts of about ``_CHUNK_LINES``
 lines are joined at a time.  No row name is made as a string: a row's
 name is three parts, head, label and tail, gathered from the small tables
 of ``RowStore.name_index``, with the separators around the name folded
-into the head and tail tables.  MPS columns come from one stable sort of
-the objective and row terms by variable, kept as that order and the row
-of each sorted entry; each chunk gathers its coefficients and name parts.
+into the head and tail tables.  MPS columns are the objective and row
+terms sorted stably by variable, one variable range at a time; each chunk
+gathers its rows, coefficients and name parts.  No whole-length sorted
+copy of anything is made.
 
 Each joined chunk goes to one ``write`` callable as soon as it is made:
 ``emit_lp(model, fh)`` streams the text into ``fh`` and keeps no chunk,
@@ -35,6 +36,10 @@ _BINARY = KINDS.index(BINARY)
 # alive at a time; when the text is returned as a string, the finished
 # chunks and their final join are the peak.
 _CHUNK_LINES = 1 << 12
+
+# Whole-length passes that would copy their input take this many items at a
+# time, and MPS columns are sorted in this many variable ranges.
+_SLICE, _RANGES = 1 << 16, 16
 
 _MPS_SENSE = {"<=": "L", ">=": "G", "=": "E"}
 
@@ -67,10 +72,14 @@ def _objects(items) -> np.ndarray:
 
 class _Numbers:
     """``numbers[values]``: the text ``fmt(v)`` of each value, formatted
-    once per distinct value of ``values`` (as Python floats)."""
+    once per distinct value of the arrays ``parts`` (as Python floats),
+    found a slice at a time and then once more over the slices' results."""
 
-    def __init__(self, values: np.ndarray, fmt) -> None:
-        self.keys = np.unique(values)  # ±0.0 share a key; both print "0"
+    def __init__(self, fmt, *parts: np.ndarray) -> None:
+        found = [np.unique(part[lo:lo + _SLICE]) for part in parts
+                 for lo in range(0, len(part), _SLICE)]
+        # ±0.0 share a key; both print "0"
+        self.keys = np.unique(np.concatenate(found)) if found else np.zeros(0)
         self.text = _objects([fmt(v) for v in self.keys.tolist()])
 
     def __getitem__(self, values: np.ndarray) -> np.ndarray:
@@ -82,13 +91,16 @@ def _take(table, index: np.ndarray):
     return lambda lo, hi: table[index[lo:hi]]
 
 
-def _take_sorted(items: list[str], index: np.ndarray):
-    """A field whose line i reads ``items[index[i]]``, for a nondecreasing
-    ``index``: each chunk converts only the slice of ``items`` it spans."""
+def _repeated(items: list[str], count: np.ndarray):
+    """A field whose lines read each of ``items`` in turn, item v on
+    ``count[v] >= 1`` lines: each chunk converts only the items it spans."""
+    end = np.cumsum(count)
 
     def field(lo: int, hi: int) -> np.ndarray:
-        first = index[lo]
-        return _objects(items[first:index[hi - 1] + 1])[index[lo:hi] - first]
+        v0, v1 = np.searchsorted(end, (lo, hi - 1), side="right")
+        last = end[v0:v1 + 1]
+        return np.repeat(_objects(items[v0:v1 + 1]),
+                         np.minimum(last, hi) - np.maximum(last - count[v0:v1 + 1], lo))
 
     return field
 
@@ -151,10 +163,11 @@ def _separators(part: np.ndarray) -> np.ndarray:
     return _ROW_SEPARATORS[np.where(part % 8, 1, 2 * (part > 0))]
 
 
-def _row_names(rows, index: np.ndarray | None = None, lead: str = "", trail: str = ""):
+def _row_names(rows, index=None, lead: str = "", trail: str = ""):
     """A `_lines` field of three parts: the head, label and tail of the name
-    of row ``index[i]`` (of row i when ``index`` is None), with ``lead``
-    before and ``trail`` after the name.  Row -1 is named "obj"."""
+    of row ``index(lo, hi)[i - lo]`` (of row i when ``index`` is None),
+    with ``lead`` before and ``trail`` after the name.  Row -1 is named
+    "obj"."""
     heads, labels, family, label = rows.name_index()
     head_text = _objects([lead + head for head, _ in heads] + [lead + "obj"])
     tail_text = _objects([tail + trail for _, tail in heads] + [trail])
@@ -163,7 +176,7 @@ def _row_names(rows, index: np.ndarray | None = None, lead: str = "", trail: str
     label = np.append(label, np.int32(len(labels)))
 
     def field(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        at = slice(lo, hi) if index is None else index[lo:hi]
+        at = slice(lo, hi) if index is None else index(lo, hi)
         fam = family[at]
         return head_text[fam], label_text[label[at]], tail_text[fam]
 
@@ -187,7 +200,7 @@ def _constraint_rows(write, rows, names: np.ndarray, signed: _Numbers) -> None:
     qcoefs = np.frombuffer(rows.qcoefs)
     senses, rhs = np.frombuffer(rows.senses, dtype=np.uint8), np.frombuffer(rows.rhs)
     tags = _objects([f"{close}\n  {sense} " for close in ("", " ]") for sense in SENSES])
-    rhs_text = _Numbers(rhs, lambda v: _num(v) + "\n")
+    rhs_text = _Numbers(lambda v: _num(v) + "\n", rhs)
     row_names = _row_names(rows, lead=" ", trail=":\n  ")
     block = _CHUNK_LINES // 4  # a row takes three lines or more
     for lo in range(0, len(rows), block):
@@ -238,9 +251,8 @@ def emit_lp(model: Model, out: TextIO | None = None) -> str | TextIO:
     names = _objects(model.registry.names)
     binary, lb, ub = _bounds(model.registry)
     obj_idx, obj_coefs = _objective(model)
-    signed = _Numbers(np.concatenate([obj_coefs, np.unique(np.frombuffer(rows.coefs)),
-                                      np.frombuffer(rows.qcoefs)]),
-                      lambda v: _signed(v) + " ")
+    signed = _Numbers(lambda v: _signed(v) + " ", obj_coefs, np.frombuffer(rows.coefs),
+                      np.frombuffer(rows.qcoefs))
     write(f"\\ Model for instance {model.instance.name}\nMinimize\n obj:\n")
     _wrapped(write, "  ", len(obj_idx), _take(signed, obj_coefs), _take(names, obj_idx))
     write("Subject To\n")
@@ -251,8 +263,8 @@ def emit_lp(model: Model, out: TextIO | None = None) -> str | TextIO:
     after = np.full(len(shown), " = 0\n", dtype=object)
     cont = ~binary[shown]
     low, high = lb[shown[cont]], ub[shown[cont]]
-    before[cont] = _Numbers(low, lambda v: f" {_num(v)} <= ")[low]
-    after[cont] = _Numbers(high, lambda v: f" <= {_num(v)}\n")[high]
+    before[cont] = _Numbers(lambda v: f" {_num(v)} <= ", low)[low]
+    after[cont] = _Numbers(lambda v: f" <= {_num(v)}\n", high)[high]
     _lines(write, len(shown), before, _take(names, shown), after)
     write("Binaries\n")
     binaries = np.flatnonzero(binary)
@@ -265,26 +277,48 @@ def _mps_columns(write, model: Model) -> None:
     """The ``COLUMNS`` entries, with integer markers where the kind flips.
 
     There is one entry per objective term, per variable in no term
-    ("obj 0") and per row term, in that order; a stable sort by variable
-    then lists a variable's objective entries first and its rows in model
-    order.  The sorted entries are kept as their variable, their place in
-    that order and their row (-1 for "obj"); each chunk gathers its
-    coefficients from the objective and ``rows.coefs``.
+    ("obj 0") and per row term, in that order; sorted stably by variable,
+    they list a variable's objective entries first and its rows in model
+    order.  Each variable's entry count gives its first position; the
+    variables fall into ``_RANGES`` ranges of about equal numbers of
+    entries, each sorted on its own.  Each chunk gathers the row (-1 for
+    "obj") and coefficient of each entry.
     """
     reg, rows = model.registry, model.constraints
     obj_idx, obj_coefs = _objective(model)
     cols, coefs = np.frombuffer(rows.cols, dtype=np.int32), np.frombuffer(rows.coefs)
-    used = np.zeros(len(reg), dtype=bool)
-    used[cols], used[obj_idx] = True, True
-    unused = np.flatnonzero(~used)
+    # bincount copies its input as int64, so it counts a slice at a time.
+    count = np.bincount(obj_idx, minlength=len(reg))
+    for lo in range(0, len(cols), _SLICE):
+        count += np.bincount(cols[lo:lo + _SLICE], minlength=len(reg))
+    unused = np.flatnonzero(count == 0)
+    count[unused] = 1
     lead = np.concatenate([obj_coefs, np.zeros(len(unused))])
-    numbers = _Numbers(np.concatenate([lead, np.unique(coefs)]), lambda v: f" {_num(v)}\n")
-    var = np.concatenate([obj_idx, unused, cols], dtype=np.int32)
-    order = np.argsort(var, kind="stable").astype(np.int32)
-    var = var[order]
+    lead_var = np.concatenate([obj_idx, unused])
+    numbers = _Numbers(lambda v: f" {_num(v)}\n", lead, coefs)
+    end = np.cumsum(count)
+    total = int(end[-1]) if len(end) else 0
+    # Variable v's range is where its first position falls among _RANGES
+    # equal parts of the order; the ranges' entries follow each other.
+    ranges = ((end - count) * _RANGES // max(total, 1)).astype(np.uint8)
+    in_range, lead_range = ranges[cols], ranges[lead_var]
+    order = np.empty(total, dtype=np.int32)
+    lo = 0
+    for r in range(_RANGES):
+        entries = np.concatenate([np.flatnonzero(lead_range == r),
+                                  len(lead) + np.flatnonzero(in_range == r)])
+        head = np.searchsorted(entries, len(lead))
+        key = np.concatenate([lead_var[entries[:head]], cols[entries[head:] - len(lead)]])
+        order[lo:lo + len(entries)] = entries[np.argsort(key, kind="stable")]
+        lo += len(entries)
+    del in_range
     # Row -1 ("obj") once per leading entry, then each row once per term.
-    row = np.repeat(np.arange(-1, len(rows), dtype=np.int32),
-                    np.diff(np.frombuffer(rows.indptr, dtype=np.int64), prepend=-len(lead)))[order]
+    indptr = np.frombuffer(rows.indptr, dtype=np.int64)
+    row_of = np.full(len(lead) + len(cols), -1, dtype=np.int32)
+    for lo in range(0, len(rows), _SLICE):
+        part = indptr[lo:lo + _SLICE + 1]
+        row_of[len(lead) + part[0]:len(lead) + part[-1]] = np.repeat(
+            np.arange(lo, lo + len(part) - 1, dtype=np.int32), np.diff(part))
 
     def coefficients(lo: int, hi: int) -> np.ndarray:
         entry = order[lo:hi]
@@ -297,12 +331,11 @@ def _mps_columns(write, model: Model) -> None:
     binary = _bounds(reg)[0]
     flips = np.flatnonzero(np.diff(binary.astype(np.int8), prepend=0))
     cuts = {pos: _MARKERS[0] if binary[v] else _MARKERS[1]
-            for pos, v in zip(np.searchsorted(var, flips.astype(np.int32)).tolist(),
-                              flips.tolist())}
+            for pos, v in zip((end - count)[flips].tolist(), flips.tolist())}
     if len(binary) and binary[-1]:
-        cuts[len(var)] = _MARKERS[2]
-    _lines(write, len(var), "    ", _take_sorted(reg.names, var),
-           _row_names(rows, row, " "), coefficients, cuts=cuts)
+        cuts[total] = _MARKERS[2]
+    _lines(write, total, "    ", _repeated(reg.names, count),
+           _row_names(rows, _take(row_of, order), " "), coefficients, cuts=cuts)
 
 
 def _mps_bounds(write, reg) -> None:
@@ -316,9 +349,9 @@ def _mps_bounds(write, reg) -> None:
     suffix = _objects([" 0\n", "\n", None, None])[kind]
     valued = kind >= 2
     value = np.where(kind == 2, lb[bounded], ub[bounded])[valued]
-    suffix[valued] = _Numbers(value, lambda v: f" {_num(v)}\n")[value]
+    suffix[valued] = _Numbers(lambda v: f" {_num(v)}\n", value)[value]
     prefixes = _objects([" FX BND ", " BV BND ", " LO BND ", " UP BND "])
-    _lines(write, len(kind), _take(prefixes, kind), _take_sorted(reg.names, bounded), suffix)
+    _lines(write, len(kind), _take(prefixes, kind), _repeated(reg.names, count), suffix)
 
 
 def emit_mps(model: Model, out: TextIO | None = None) -> str | TextIO:
@@ -344,8 +377,8 @@ def emit_mps(model: Model, out: TextIO | None = None) -> str | TextIO:
     write("RHS\n")
     rhs = np.frombuffer(rows.rhs)
     nonzero = np.flatnonzero(rhs != 0)
-    _lines(write, len(nonzero), _row_names(rows, nonzero, "    RHS "),
-           _take(_Numbers(rhs[nonzero], lambda v: f" {_num(v)}\n"), rhs[nonzero]))
+    _lines(write, len(nonzero), _row_names(rows, lambda lo, hi: nonzero[lo:hi], "    RHS "),
+           _take(_Numbers(lambda v: f" {_num(v)}\n", rhs[nonzero]), rhs[nonzero]))
     write("BOUNDS\n")
     _mps_bounds(write, model.registry)
     write("ENDATA\n")

@@ -28,8 +28,10 @@ standard sum form (equivalent for binaries) and the bilinear cap with a
 piecewise-McCormick overestimate partitioned along the x-overlap axis.
 
 The model is built in array blocks: one registry append per variable
-family, and one numpy block per row family, or per group of families
-whose rows alternate case by case or pair by pair.  Each block records
+family, and one block per row family, or per group of families whose rows
+alternate case by case or pair by pair.  A block writes each family's
+term columns straight into the grown row store, so building holds no
+stacked copy of a block next to the store.  Each block records
 where it sits (``VariableRegistry.families``, ``RowStore.families``), and
 the packing map and the big-M audit address the model by those index
 ranges.  Variable names are kept; row names are not.  A row block keeps
@@ -161,7 +163,8 @@ class RowStore(Sequence):
     Quadratic terms are kept only for the rows that have them, in row
     order: ``qrows[t]`` owns the product ``qcoefs[t] * v[qa[t]] * v[qb[t]]``.
     Indexing builds a fresh ``Constraint``; rows are only ever appended, a
-    block at a time.  ``families`` locates each row family, keyed by its
+    block at a time, each array growing once and filled in place.
+    ``families`` locates each row family, keyed by its
     name and suffix (``sep,3``): ``(first, stride, count)`` means rows
     ``first + stride * u`` for units ``u < count``.
 
@@ -225,20 +228,25 @@ class RowStore(Sequence):
         heads[family[r]]``.  The tables hold each block's entries in turn."""
         heads: list[tuple[str, str]] = []
         labels: list[str] = []
-        family, label = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
-        for _, block_heads, block_labels in self.blocks:
-            family.append(np.tile(np.arange(len(heads), len(heads) + len(block_heads),
-                                            dtype=np.int32), len(block_labels)))
-            label.append(np.repeat(np.arange(len(labels), len(labels) + len(block_labels),
-                                             dtype=np.int32), len(block_heads)))
+        family, label = np.empty(len(self), dtype=np.int32), np.empty(len(self), dtype=np.int32)
+        for first, block_heads, block_labels in self.blocks:
+            shape = (len(block_labels), len(block_heads))
+            stop = first + shape[0] * shape[1]
+            family[first:stop].reshape(shape)[:] = np.arange(len(heads), len(heads) + shape[1])
+            label[first:stop].reshape(shape)[:] = np.arange(len(labels),
+                                                            len(labels) + shape[0])[:, None]
             heads += block_heads
             labels += block_labels
-        return heads, labels, np.concatenate(family), np.concatenate(label)
+        return heads, labels, family, label
 
     def row_of(self):
         """Row index of every linear term, as a numpy array."""
         counts = np.diff(np.frombuffer(self.indptr, dtype=np.int64))
         return np.repeat(np.arange(len(self), dtype=np.int32), counts)
+
+
+# Terms a block writes per pass over its families: the slots stay in cache.
+_WRITE_TERMS = 1 << 18
 
 
 class _RowBlock:
@@ -249,7 +257,8 @@ class _RowBlock:
     unit's part of the row names.  A family's terms are (column,
     coefficient) pairs: a column is an index array with one entry per unit,
     or a (units, k) array of k consecutive terms; a coefficient is a
-    number or an array of the column's shape.
+    number or an array of the column's shape.  ``add`` keeps the terms as
+    given, and ``write`` puts each of them straight into the store.
     """
 
     def __init__(self, rows: RowStore, labels: list[str]) -> None:
@@ -258,48 +267,69 @@ class _RowBlock:
 
     def add(self, name: str, sense: str, rhs, terms, *, suffix: str = "",
             count=None, q=None) -> _RowBlock:
-        """Add a family.  ``count`` gives the number of leading terms each
-        unit's row keeps (all by default); ``q`` is the one quadratic term
-        (a, b, coefficient) of each row."""
-        units = len(self.labels)
-        if units:
-            cols = np.column_stack([np.reshape(col, (units, -1)) for col, _ in terms]
-                                   ).astype(np.int32)
-            coefs = np.column_stack([np.reshape(np.broadcast_to(coef, np.shape(col)),
-                                                (units, -1)) for col, coef in terms])
-            width = cols.shape[1]
-            keep = np.arange(width) < np.reshape(width if count is None else count, (-1, 1))
+        """Add a family, its terms kept as given.  ``count`` gives the number
+        of leading terms each unit's row keeps (all by default); ``q`` is
+        the one quadratic term (a, b, coefficient) of each row."""
+        if self.labels:
             self.families.append((name + suffix, (f"{name}[", f"{suffix}]"),
-                                  _SENSE_CODE[sense], np.broadcast_to(rhs, (units,)),
-                                  cols, coefs, np.broadcast_to(keep, cols.shape), q))
+                                  _SENSE_CODE[sense], rhs, terms, count, q))
         return self
 
     def write(self) -> None:
         """Append the rows to the store, unit by unit, as one CSR block, and
-        record where each family's rows sit and what their names are made of."""
+        record where each family's rows sit and what their names are made of.
+        Every store array grows once, and each term column goes straight into
+        its slots in the new tail; then the families are dropped."""
         if not self.families:
             return
         rows, units = self.rows, len(self.labels)
-        keys, heads, senses, rhs, cols, coefs, keep, quad = zip(*self.families)
+        keys, heads, senses, rhs, terms, count, quad = zip(*self.families)
+        first = len(rows)
         for pos, key in enumerate(keys):
-            rows.families[key] = (len(rows) + pos, len(keys), units)
-        counts = np.column_stack([k.sum(axis=1) for k in keep])
-        cols, coefs, keep = map(np.column_stack, (cols, coefs, keep))
-        if not keep.all():
-            cols, coefs = cols[keep], coefs[keep]
+            rows.families[key] = (first + pos, len(keys), units)
+        # Each row's term count and first slot in the tail, [family, unit].
+        counts = np.empty((len(keys), units), dtype=np.int64)
+        for f, family in enumerate(terms):
+            width = sum(np.size(col) for col, _ in family) // units
+            counts[f] = width if count[f] is None else count[f]
+        ends = np.cumsum(counts.T)
+        starts = ends.reshape(units, -1).T - counts
         # At most one quadratic term per row, so row-major order sorts them.
         qf = [f for f, q in enumerate(quad) if q]
-        qrows = len(rows) + np.arange(counts.size).reshape(counts.shape)[:, qf]
-        qa, qb, qcoefs = (np.column_stack([np.full(units, quad[f][t]) for f in qf])
-                          if qf else () for t in range(3))
-        for store, part in ((rows.rhs, np.column_stack(rhs)),
-                            (rows.indptr, rows.indptr[-1] + np.cumsum(counts)),
-                            (rows.cols, cols), (rows.coefs, coefs),
-                            (rows.qrows, qrows), (rows.qa, qa), (rows.qb, qb),
-                            (rows.qcoefs, qcoefs)):
-            store.frombytes(np.ascontiguousarray(part, dtype=store.typecode).view(np.uint8))
-        rows.blocks.append((len(rows), heads, self.labels))
+        base, terms_size, q_size = rows.indptr[-1], int(ends[-1]), units * len(qf)
+        tails = []
+        for store, size in ((rows.rhs, counts.size), (rows.indptr, counts.size),
+                            (rows.cols, terms_size), (rows.coefs, terms_size),
+                            (rows.qrows, q_size), (rows.qa, q_size), (rows.qb, q_size),
+                            (rows.qcoefs, q_size)):
+            store.frombytes(bytes(size * store.itemsize))
+            tails.append(np.frombuffer(store, dtype=store.typecode)[len(store) - size:])
+        rhs_tail, indptr_tail, cols_tail, coefs_tail, *q_tails = tails
+        indptr_tail[:] = base + ends
+        for f, family in enumerate(terms):
+            rhs_tail[f::len(keys)] = rhs[f]
+        step = max(1, _WRITE_TERMS * units // terms_size) if terms_size else units
+        for lo in range(0, units, step):
+            hi = min(lo + step, units)
+            for f, family in enumerate(terms):
+                at = 0
+                for col, coef in family:
+                    coef = np.broadcast_to(coef, np.shape(col)).reshape(units, -1)[lo:hi]
+                    pos = at + np.arange(coef.shape[1])
+                    kept = pos < counts[f, lo:hi, None]
+                    slots = (starts[f, lo:hi, None] + pos)[kept]
+                    cols_tail[slots] = np.reshape(col, (units, -1))[lo:hi][kept]
+                    coefs_tail[slots] = coef[kept]
+                    at += coef.shape[1]
+        for tail, t in zip(q_tails, (None, 0, 1, 2)):
+            tail = tail.reshape(units, len(qf))
+            for j, f in enumerate(qf):
+                tail[:, j] = first + f + len(keys) * np.arange(units) if t is None else quad[f][t]
+        # A store cannot grow while a view of it lives, even in a held frame.
+        del tails, rhs_tail, indptr_tail, cols_tail, coefs_tail, q_tails, tail
+        rows.blocks.append((first, heads, self.labels))
         rows.senses.extend(bytes(senses) * units)
+        self.families.clear()
 
 
 @dataclass

@@ -136,27 +136,15 @@ def _column_entries(rows, order: np.ndarray):
         yield from zip(row_of[sel].tolist(), coefs[sel].tolist())
 
 
-def emit_mps(model: Model) -> str:
-    """Render a linearized model as free-format MPS text."""
-    if model.mode != "linearized":
-        raise UnsupportedModeError(
-            "MPS output requires a linearized model; quadratic rows have no MPS form")
+def mps_columns(model: Model) -> str:
+    """The text of the MPS ``COLUMNS`` entries and markers, from one stable
+    sort of all row terms by variable."""
     reg = model.registry
     rows = model.constraints
     row_names = rows.names
     num = _Formatted(_num)
     text = _Text()
     out = text.lines
-    out.append(f"NAME {model.instance.name}")
-    out.append("ROWS")
-    out.append(" N obj")
-    tags = [f" {_MPS_SENSE[sense]} " for sense in SENSES]
-    for lo in range(0, len(rows), _CHUNK_LINES):
-        hi = lo + _CHUNK_LINES
-        out.extend([tags[sense] + name
-                    for sense, name in zip(rows.senses[lo:hi], row_names[lo:hi])])
-        text.flush()
-
     # Column-major entries, variables in registry order: a variable's
     # objective entries first, then its rows in model order (the sort is
     # stable and the terms are stored row by row).
@@ -167,7 +155,6 @@ def emit_mps(model: Model) -> str:
     for idx, coef in model.objective:
         objective.setdefault(idx, []).append(coef)
 
-    out.append("COLUMNS")
     in_integer = False
     for idx, (name, kind) in enumerate(zip(reg.names, reg.kinds)):
         is_int = kind == _BINARY
@@ -189,8 +176,33 @@ def emit_mps(model: Model) -> str:
             text.flush()
     if in_integer:
         out.append("    MARKER M3 'MARKER' 'INTEND'")
-    del entries
+    return text.join()
 
+
+def emit_mps(model: Model) -> str:
+    """Render a linearized model as free-format MPS text."""
+    if model.mode != "linearized":
+        raise UnsupportedModeError(
+            "MPS output requires a linearized model; quadratic rows have no MPS form")
+    reg = model.registry
+    rows = model.constraints
+    row_names = rows.names
+    num = _Formatted(_num)
+    text = _Text()
+    out = text.lines
+    out.append(f"NAME {model.instance.name}")
+    out.append("ROWS")
+    out.append(" N obj")
+    tags = [f" {_MPS_SENSE[sense]} " for sense in SENSES]
+    for lo in range(0, len(rows), _CHUNK_LINES):
+        hi = lo + _CHUNK_LINES
+        out.extend([tags[sense] + name
+                    for sense, name in zip(rows.senses[lo:hi], row_names[lo:hi])])
+        text.flush()
+
+    out.append("COLUMNS")
+    text.flush()
+    text.chunks.append(mps_columns(model))
     out.append("RHS")
     for row, rhs in enumerate(rows.rhs):
         if rhs != 0:

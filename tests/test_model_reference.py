@@ -161,7 +161,7 @@ def test_row_names_match_the_eager_list(which, support, mode):
             zip(family[index].tolist(), label[index].tolist())] == [expected[r] for r in index]
     # the emitters' gatherer: separators around the name, "obj" at row -1
     index = np.append(index, -1)
-    parts = _row_names(rows, index, "<", ">\n")(0, len(index))
+    parts = _row_names(rows, lambda lo, hi: index[lo:hi], "<", ">\n")(0, len(index))
     assert ["".join(p) for p in zip(*(part.tolist() for part in parts))] == (
         [f"<{expected[r]}>\n" for r in index[:-1]] + ["<obj>\n"])
 
