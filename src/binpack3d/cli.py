@@ -14,10 +14,9 @@ import math
 import os
 import sys
 import tempfile
+from importlib import import_module
 
-from .exact import solve_exact
 from .geometry import DEFAULT_TOL, Instance, orientation_set
-from .heuristic import solve_heuristic
 from .instance_io import (
     bundled_instance_names,
     load_bundled,
@@ -25,9 +24,7 @@ from .instance_io import (
     parse_packing,
     write_packing,
 )
-from .lp_format import emit_lp, emit_mps
 from .metrics import RunReport, gap_vs_bound
-from .model import build_model
 from .solvers import SolverConfig
 from .svg_render import VIEWS, render_svg
 from .validate import validate
@@ -35,6 +32,27 @@ from .validate import validate
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``module``'s function ``name`` that imports the
+    module on its first call."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(module, __package__), name)(*args, **kwargs)
+
+    return call
+
+
+# Each of these is called by one command only, so a command imports no
+# solver or exporter it does not run.  They stay module attributes, looked
+# up when called: a caller may replace one with setattr, as perfbench's
+# traced child does to time it, which a function-local import would bypass.
+solve_heuristic = _deferred(".heuristic", "solve_heuristic")
+solve_exact = _deferred(".exact", "solve_exact")
+build_model = _deferred(".model", "build_model")
+emit_lp = _deferred(".lp_format", "emit_lp")
+emit_mps = _deferred(".lp_format", "emit_mps")
 
 
 class _CliError(Exception):

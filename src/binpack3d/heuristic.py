@@ -5,7 +5,7 @@ restart) at the anchor minimizing the incremental objective over all
 allowed orientations.  Anchors are slots a bin keeps: the bin-floor
 origin and the corner points of placed cases, and while a bin holds at
 most ``_GRID_BOXES`` cases every pair of an x and a y corner coordinate
-too; past that the search uses the corner slots only.  The z coordinate
+too; the case after those drops the grid-only slots.  The z coordinate
 always comes from dropping the case onto the highest surface below its
 footprint, which keeps placements overlap-free by construction.  Each
 (slot, shape) row is a cell: where the box rests there and whether it
@@ -81,12 +81,13 @@ class _BinState:
     row for row, their boxes in the first rows of a ``(capacity, 6)``
     buffer, which doubles when full.
 
-    The anchors are append-only slots.  The bin-floor origin and each
-    distinct corner of a placed box has one, flagged as a corner; while the
-    bin holds at most ``_GRID_BOXES`` boxes so does every pair of an x and
-    a y coordinate of their corners.  Every box added goes to ``log``, from
-    which the kept ``cells`` of each case type learn which of their cells
-    to settle again."""
+    The anchors are slots.  The bin-floor origin and each distinct corner
+    of a placed box has one; while the bin holds at most ``_GRID_BOXES``
+    boxes so does every pair of an x and a y coordinate of their corners.
+    Slots are appended, except that the box after those drops the
+    grid-only ones from the slots and the kept cells.  Every box added goes to ``log``,
+    from which the kept ``cells`` of each case type learn which of their
+    cells to settle again."""
 
     def __init__(self, inst: Instance, j: int):
         self.index = j
@@ -98,27 +99,36 @@ class _BinState:
         self._boxes = np.empty((8, 6))
         self._slot: dict[tuple[float, float], int] = {}
         self._xy = np.empty((64, 2))
-        self._corner = np.empty(64, dtype=bool)
         # the grid's coordinates, in first-seen order
         self._gx, self._gy = {self.x0: None}, {0.0: None}
-        self._point((self.x0, 0.0), True)
+        self._point((self.x0, 0.0))
         # (x, y, dx, dy) of every box added, in order
         self.log: list[tuple] = []
         self.cells: dict[tuple, _Cells] = {}
         self._top = 0.0
 
-    def _point(self, xy: tuple[float, float], corner: bool) -> None:
-        """Give ``xy`` a slot unless it has one, and flag it if a corner."""
-        slot = self._slot.get(xy)
-        if slot is None:
+    def _point(self, xy: tuple[float, float]) -> None:
+        """Give ``xy`` a slot unless it has one."""
+        if xy not in self._slot:
             slot = self._slot[xy] = len(self._slot)
             if slot == len(self._xy):
                 self._xy = np.concatenate((self._xy, np.empty_like(self._xy)))
-                self._corner = np.concatenate((self._corner, np.empty_like(self._corner)))
             self._xy[slot] = xy
-            self._corner[slot] = corner
-        elif corner:
-            self._corner[slot] = True
+
+    def _keep_corners(self) -> None:
+        """Drop the grid-only slots, in the slots and every kept cell, and
+        keep the origin and the corners in their order."""
+        corners = {(self.x0, 0.0)}
+        for _, x, y, _, dx, dy, _ in self.items:
+            corners.update(((x + dx, y), (x, y + dy), (x, y)))
+        kept = [xy for xy in self._slot if xy in corners]
+        keep = np.array([self._slot[xy] for xy in kept])
+        self._slot = {xy: n for n, xy in enumerate(kept)}
+        self._xy = self._xy[keep]
+        for cells in self.cells.values():
+            cols = keep[keep < cells.z.shape[1]]
+            cells.z, cells.fit, cells.fresh, cells.inbin = (
+                v[:, cols] for v in (cells.z, cells.fit, cells.fresh, cells.inbin))
 
     def arrays(self) -> np.ndarray:
         """The items' boxes as a ``(k, 6)`` array, in item order: a view that
@@ -138,9 +148,11 @@ class _BinState:
             self._gy.update(dict.fromkeys((y, y + dy)))
             for gx in self._gx:
                 for gy in self._gy:
-                    self._point((gx, gy), False)
+                    self._point((gx, gy))
         for corner in ((x + dx, y), (x, y + dy), (x, y)):
-            self._point(corner, True)
+            self._point(corner)
+        if end == _GRID_BOXES:
+            self._keep_corners()
         self._top = max(self._top, z + dz)
 
     def top(self) -> float:
@@ -149,10 +161,6 @@ class _BinState:
     def slots(self) -> np.ndarray:
         """Every slot's (x, y), in the order the points appeared."""
         return self._xy[:len(self._slot)]
-
-    def corners(self) -> np.ndarray:
-        """Per slot, whether it is the origin or a placed box's corner."""
-        return self._corner[:len(self._slot)]
 
 
 class _Cells:
@@ -310,10 +318,9 @@ class _WorkState:
     def _search(self, bs: _BinState, dims: tuple,
                 g_cur: float, opening: float, weight: float) -> list:
         """Best (score, z, y, x) over the bin's slots for each ``(a, b, c)``
-        in ``dims``, or None where none fits: over every slot while the bin
-        holds at most ``_GRID_BOXES`` boxes, over the corner slots after
-        that.  The cells kept for ``dims`` are settled again only where a
-        slot is new or a box logged since could touch the cell."""
+        in ``dims``, or None where none fits.  The cells kept for ``dims``
+        are settled again only where a slot is new or a box logged since
+        could touch the cell."""
         cells = bs.cells.get(dims)
         if cells is None:
             cells = bs.cells[dims] = _Cells(dims, len(bs.log))
@@ -332,10 +339,9 @@ class _WorkState:
             cells.fresh = np.concatenate((cells.fresh, np.zeros(new, dtype=bool)), axis=1)
             cells.fit = np.concatenate((cells.fit, np.zeros(new, dtype=bool)), axis=1)
             cells.z = np.concatenate((cells.z, np.zeros(new)), axis=1)
-        live = cells.inbin if len(bs.items) <= _GRID_BOXES else cells.inbin & bs.corners()
-        for g, s, z, fit in self._settle_rows(bs, live & ~cells.fresh, xs, ys, cells.abc):
+        for g, s, z, fit in self._settle_rows(bs, cells.inbin & ~cells.fresh, xs, ys, cells.abc):
             cells.z[g, s], cells.fit[g, s], cells.fresh[g, s] = z, fit, True
-        z = np.where(live & cells.fit, cells.z, np.inf)
+        z = np.where(cells.inbin & cells.fit, cells.z, np.inf)
         return _scored(_lowest(z, xs, ys), dims, g_cur, opening, weight)
 
     def _settle_rows(self, bs: _BinState, rows: np.ndarray, xs, ys, abc: np.ndarray):

@@ -464,3 +464,29 @@ class TestModuleEntry:
             capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)[0]["name"] == "bench-01"
+
+
+class TestDeferredCalls:
+    """A command calls its solver and exporter through ``cli``'s module
+    attributes, looked up at call time: perfbench's traced child replaces
+    them with timing wrappers and must see each call."""
+
+    @pytest.mark.parametrize("argv,names", [
+        (["solve", "--instance", "bundled:1", "--time-limit", "1", "--seed", "7",
+          "--deterministic", "--restarts", "1"], ("solve_heuristic",)),
+        (["export", "--instance", "bundled:1", "--format", "mps"], ("build_model", "emit_mps")),
+    ])
+    def test_spies_see_each_call_and_outputs_match(self, tmp_path, capsys, monkeypatch,
+                                                   argv, names):
+        out = tmp_path / "out"
+        argv = argv + ["--out", str(out)]
+        plain = run_cli(argv, capsys), out.read_bytes()
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def spy(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        assert (run_cli(argv, capsys), out.read_bytes()) == plain
+        assert calls == dict.fromkeys(names, 1)

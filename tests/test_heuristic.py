@@ -364,7 +364,7 @@ class TestBinState:
     def test_floor_origin_always_present(self):
         state = self._solved_state(load_bundled(1), 0)
         assert state.items
-        assert state.slots()[0].tolist() == [0.0, 0.0] and state.corners()[0]
+        assert state.slots()[0].tolist() == [0.0, 0.0]
 
     def test_anchors_inside_bin(self):
         inst = Instance("anch", (CaseSpec(0, 2, 2, 2, quantity=2),),
@@ -380,10 +380,11 @@ class TestBinState:
     # past the first two doublings of the box buffer
     @example([(0.0, 0.0, 1.0, 1.0)] * 20, 0)
     def test_slots_and_top_follow_add(self, items, j):
-        """The slots, their corner flags, the box array and the top equal
-        their definitions after every addition: the slots are the corners
-        and the grid of the first ``_GRID_BOXES`` boxes, each once, and
-        appended in place."""
+        """The slots, the box array and the top equal their definitions
+        after every addition: the slots are the corners, and the grid of the
+        boxes while there are at most ``_GRID_BOXES``, each once.  They are
+        appended in place, except that the next box drops the grid-only
+        ones and keeps the rest in order."""
         inst = Instance("grid", (CaseSpec(0, 1, 1, 1),), (BinSpec(0, 10, 10, 10, quantity=2),))
         state = heuristic._BinState(inst, j)
         before = []
@@ -391,9 +392,11 @@ class TestBinState:
             state.add(i, state.x0 + x, y, i / 7, dx, dy, 1.0 + i / 3)
             slots = list(map(tuple, state.slots().tolist()))
             corners = _reference_anchors(state, False)
+            if len(state.items) == heuristic._GRID_BOXES + 1:
+                before = [p for p in before if p in corners]
             assert slots[:len(before)] == before
-            assert sorted(slots) == sorted({*_reference_anchors(state, True), *corners})
-            assert sorted(p for p, flag in zip(slots, state.corners()) if flag) == corners
+            grid = _reference_anchors(state, len(state.items) <= heuristic._GRID_BOXES)
+            assert sorted(slots) == sorted({*grid, *corners})
             before = slots
             assert state.arrays().tolist() == [list(it[1:]) for it in state.items]
             assert state.top() == max(it[3] + it[6] for it in state.items)
@@ -419,8 +422,7 @@ class TestBinState:
                 spot = state.best_spot(0, (1,))
                 picks.append((spot.x, spot.y, spot.z))
         assert picks == [(3.0, 2.0, 0.0), after]
-        slot = bs.slots().tolist().index([3.0, 2.0])
-        assert bs.corners()[slot] == (after == (3.0, 2.0, 0.0))
+        assert ([3.0, 2.0] in bs.slots().tolist()) == (after == (3.0, 2.0, 0.0))
 
 
 TOL = DEFAULT_TOL
