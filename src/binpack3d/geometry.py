@@ -12,7 +12,10 @@ rest, how much support a base gets, and whether a box stays in its bin and is
 supported (``overhang``, ``support_deficit``), at one tolerance ``DEFAULT_TOL``:
 in scalar form over ``PlacedBox`` values, and as a vector kernel over
 ``(k, 6)`` box arrays with rows ``[x, y, z, dx, dy, dz]`` that repeats the
-scalar arithmetic (``rest_heights`` excepted, see there).
+scalar arithmetic (``rest_heights`` excepted, see there).  The judge's pair
+functions, ``overlap_pairs`` and ``box_credit``, measure box pairs in blocks
+of about ``_PAIR_CHUNK``, so their memory does not grow with the square of
+the box count.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from itertools import accumulate
 import numpy as np
 
 DEFAULT_TOL = 1e-6
+
+# bound on the box pairs the vector kernel measures at once
+_PAIR_CHUNK = 1 << 16
 
 ORIENTATIONS = (1, 2, 3, 4, 5, 6)
 
@@ -292,15 +298,16 @@ class PlacedBox:
 
 def check_packing(inst: Instance, pack: Packing) -> None:
     """Raise ValueError unless the packing matches the instance shape."""
-    if len(pack.placements) != inst.num_cases:
+    cases, bins = inst.num_cases, inst.num_bins
+    if len(pack.placements) != cases:
         raise ValueError(
             f"packing has {len(pack.placements)} placements, "
-            f"instance has {inst.num_cases} cases"
+            f"instance has {cases} cases"
         )
     for p in pack.placements:
-        if not 0 <= p.case_index < inst.num_cases:
+        if not 0 <= p.case_index < cases:
             raise ValueError(f"unknown case index {p.case_index}")
-        if not 0 <= p.bin_index < inst.num_bins:
+        if not 0 <= p.bin_index < bins:
             raise ValueError(f"unknown bin index {p.bin_index}")
 
 
@@ -436,10 +443,36 @@ def _overlap(a_start, a_len, b_start, b_len):
                                       np.minimum(a_len, b_len)))
 
 
-def penetration_matrix(boxes: np.ndarray) -> np.ndarray:
-    """``penetration_depth`` of every pair of rows of a box array."""
-    lo, ext = boxes[:, None, :3], boxes[:, None, 3:]
-    return _overlap(lo, ext, boxes[None, :, :3], boxes[None, :, 3:]).min(axis=2)
+def overlap_pairs(boxes: np.ndarray, tol: float = DEFAULT_TOL):
+    """The rows of a box array that overlap, sparse: ``(a, b, depth)`` for
+    every pair ``a < b`` whose ``penetration_depth`` exceeds ``tol >= 0``,
+    ordered by ``a`` then ``b``.
+
+    Sort and sweep: with the rows in order of x start, a row can overlap
+    only the later rows that start strictly before its x end, and a depth
+    over ``tol`` implies that much in floating point too.  Only these
+    candidates are measured, ``_PAIR_CHUNK`` at a time, by the scalar
+    function's arithmetic, so the time follows the pairs that meet along x
+    and the memory the chunk and the pairs found.
+    """
+    order = np.argsort(boxes[:, 0], kind="stable")
+    start = boxes[order, 0]
+    stop = np.searchsorted(start, start + boxes[order, 3])
+    count = np.maximum(stop - np.arange(1, len(order) + 1), 0)
+    ends, total = np.cumsum(count), int(count.sum())
+    found = [(order[:0], order[:0], start[:0])]
+    for lo in range(0, total, _PAIR_CHUNK):
+        t = np.arange(lo, min(lo + _PAIR_CHUNK, total))
+        i = np.searchsorted(ends, t, side="right")
+        a, b = order[i], order[t - ends[i] + count[i] + i + 1]
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        pa, pb = boxes[a], boxes[b]
+        depth = _overlap(pa[:, :3], pa[:, 3:], pb[:, :3], pb[:, 3:]).min(axis=1)
+        keep = depth > tol
+        found.append((a[keep], b[keep], depth[keep]))
+    a, b, depth = (np.concatenate(part) for part in zip(*found))
+    pick = np.lexsort((b, a))
+    return a[pick], b[pick], depth[pick]
 
 
 def support_pairs(boxes: np.ndarray, xs, ys, zs, a, b,
@@ -464,6 +497,24 @@ def support_credit(zs, a, b, base, area, tol: float = DEFAULT_TOL) -> np.ndarray
     order given, as a loop over ``support_area`` adds them."""
     credit = np.where(zs <= tol, np.multiply(a, b), 0.0)
     np.add.at(credit, base, area)
+    return credit
+
+
+def box_credit(boxes: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``support_credit`` of each row's base from the floor and the other
+    rows.  ``support_pairs`` runs over ``_PAIR_CHUNK // k`` bases at a time,
+    so no ``(k, k)`` gap matrix is built; a base's areas all fall in one
+    block, in the order a single call gives them."""
+    x, y, z, dx, dy = boxes[:, :5].T
+    credit = np.empty(len(boxes))
+    step = max(1, _PAIR_CHUNK // max(1, len(boxes)))
+    for lo in range(0, len(boxes), step):
+        part = slice(lo, lo + step)
+        base, box, area = support_pairs(boxes, x[part], y[part], z[part],
+                                        dx[part], dy[part], tol)
+        others = base + lo != box
+        credit[part] = support_credit(z[part], dx[part], dy[part], base[others],
+                                      area[others], tol)
     return credit
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
 from .geometry import Instance, Packing
@@ -31,7 +31,8 @@ class SolverConfig:
 
     A config is frozen once validated: fields cannot be reassigned, and
     ``neighborhood`` is a read-only copy of the mapping given.  Use
-    ``dataclasses.replace`` for a changed copy.
+    ``dataclasses.replace`` for a changed copy.  Pickling and copying
+    rebuild a config from its fields.
     """
 
     time_limit: float = 60.0
@@ -66,6 +67,13 @@ class SolverConfig:
             if not (math.isfinite(weight) and weight >= 0):
                 raise ValueError(f"neighborhood[{name!r}] must be a non-negative "
                                  f"finite weight, got {weight!r}")
+
+    def __reduce__(self):
+        # pickle cannot copy the read-only proxy: rebuild the config from its
+        # fields, so a loaded copy is validated again
+        args = {f.name: getattr(self, f.name) for f in fields(self)}
+        args["neighborhood"] = dict(self.neighborhood)
+        return type(self), tuple(args.values())
 
     def effective_support(self, inst: Instance) -> float | None:
         if self.support_threshold is not None:

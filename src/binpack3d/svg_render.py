@@ -5,7 +5,9 @@ Views project the global frame onto a plane: ``top`` (x/y), ``front``
 distinct base height in the packing.  Cases are colored by their catalogue
 id; the overlap region of every pair that ``validate`` reports as
 overlapping (penetration beyond ``DEFAULT_TOL``) is stroked in the
-violation style so defects are visible at a glance.
+violation style so defects are visible at a glance.  The pairs come from
+``geometry.overlap_pairs`` over all boxes in the shared frame, kept to the
+pairs within one bin, in ``validate``'s order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .geometry import (
     Packing,
     box_array,
     check_packing,
-    penetration_matrix,
+    overlap_pairs,
     placed_box,
 )
 
@@ -74,15 +76,13 @@ def _overlap_rects(inst: Instance, pack: Packing, axes: tuple[int, int]) -> list
     """Projected overlap regions of the pairs ``validate`` reports."""
     boxes = box_array(placed_box(inst.cases[p.case_index], p) for p in pack.placements)
     bins = np.array([p.bin_index for p in pack.placements])
-    hits = (penetration_matrix(boxes) > DEFAULT_TOL) & (bins[:, None] == bins)
-    lo, hi = boxes[:, :3], boxes[:, :3] + boxes[:, 3:]
+    a, b, _ = overlap_pairs(boxes, DEFAULT_TOL)
+    same = bins[a] == bins[b]
+    a, b = a[same], b[same]
+    low = np.maximum(boxes[a, :3], boxes[b, :3])
+    size = np.minimum(boxes[a, :3] + boxes[a, 3:], boxes[b, :3] + boxes[b, 3:]) - low
     u, v = axes
-    out = []
-    for a, b in zip(*np.triu(hits, 1).nonzero()):
-        low = np.maximum(lo[a], lo[b]).tolist()
-        high = np.minimum(hi[a], hi[b]).tolist()
-        out.append((low[u], low[v], high[u] - low[u], high[v] - low[v]))
-    return out
+    return list(zip(*(col.tolist() for col in (low[:, u], low[:, v], size[:, u], size[:, v]))))
 
 
 def render_svg(inst: Instance, pack: Packing, view: str = "top") -> str:

@@ -16,21 +16,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .geometry import (
     DEFAULT_TOL,
     Instance,
     Packing,
     box_array,
+    box_credit,
     check_packing,
     objective_value,
     overhang,
-    penetration_matrix,
+    overlap_pairs,
     placed_box,
-    support_credit,
     support_deficit,
-    support_pairs,
     within_tol,
 )
 from .metrics import bin_utilizations
@@ -123,17 +120,13 @@ def validate(inst: Instance, pack: Packing, tol: float = DEFAULT_TOL,
     coverage: dict[int, float] = {}
     for members in by_bin.values():
         arr = box_array(boxes[i] for i in members)
-        depth = penetration_matrix(arr)
-        for a, b in zip(*np.triu(depth > tol, 1).nonzero()):
-            violations.append(Violation("overlap", (members[a], members[b]),
-                                        float(depth[a, b])))
+        pairs = (part.tolist() for part in overlap_pairs(arr, tol))
+        for a, b, depth in zip(*pairs):
+            violations.append(Violation("overlap", (members[a], members[b]), depth))
         if threshold is None:
             continue
-        x, y, z, dx, dy = arr[:, :5].T
-        base, box, area = support_pairs(arr, x, y, z, dx, dy, tol)
-        others = base != box
-        credits = support_credit(z, dx, dy, base[others], area[others], tol)
-        deficits = support_deficit(threshold, dx, dy, credits)
+        credits = box_credit(arr, tol)
+        deficits = support_deficit(threshold, arr[:, 3], arr[:, 4], credits)
         for i, credit, deficit in zip(members, credits.tolist(), deficits.tolist()):
             footprint = boxes[i].footprint
             coverage[i] = credit / footprint if footprint > 0 else 1.0

@@ -1,9 +1,12 @@
+import dataclasses
+import functools
 import math
 import os
 import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from binpack3d.geometry import BinSpec, CaseSpec, Instance, Packing, Placement
@@ -104,3 +107,48 @@ def mixed_bin_instance() -> Instance:
                     (CaseSpec(0, 2.3, 1.7, 0.9, quantity=2), CaseSpec(1, 3.1, 2.2, 1.3),
                      CaseSpec(2, 1.1, 0.7, 2.6)),
                     (BinSpec(0, 6.1, 4.3, 3.7, quantity=2), BinSpec(1, 7.3, 5.2, 2.9)))
+
+
+def dense_overlaps(boxes: np.ndarray, tol: float):
+    """Reference for ``geometry.overlap_pairs``: the depth of every pair of
+    rows in a dense ``(k, k)`` matrix, then the pairs above ``tol`` in row
+    order, by ``penetration_depth``'s arithmetic."""
+    lo, ext = boxes[:, None, :3], boxes[:, None, 3:]
+    other, other_ext = boxes[None, :, :3], boxes[None, :, 3:]
+    depth = np.maximum(0.0, np.minimum(np.minimum(lo + ext - other, other + other_ext - lo),
+                                       np.minimum(ext, other_ext))).min(axis=2)
+    a, b = np.triu(depth > tol, 1).nonzero()
+    return a, b, depth[a, b]
+
+
+@functools.lru_cache(maxsize=None)
+def judged_packings() -> tuple:
+    """(instance, packing) pairs with many defects: construction-only
+    heuristic packings of bundled instances and shifted, lifted and
+    re-oriented copies of them, and random packings over three bins."""
+    from binpack3d.heuristic import solve_heuristic
+    from binpack3d.instance_io import load_bundled
+    from binpack3d.solvers import SolverConfig
+
+    rng = random.Random(29)
+    out = []
+    for number in (1, 6, 12, 15):
+        inst = load_bundled(number)
+        base = solve_heuristic(inst, SolverConfig(time_limit=5, seed=1, restarts=1,
+                                                  deterministic=True, neighborhood={},
+                                                  support_threshold=0.8)).packing
+        out.append((inst, base))
+        for spread in (0.5, 3.0):
+            moved = list(base.placements)
+            for i in rng.sample(range(len(moved)), max(1, len(moved) // 4)):
+                p = moved[i]
+                moved[i] = dataclasses.replace(
+                    p, x=max(0.0, p.x + rng.uniform(-spread, spread)),
+                    y=max(0.0, p.y + rng.uniform(-spread, spread)),
+                    z=max(0.0, p.z + rng.uniform(-spread, spread)),
+                    orientation=rng.randint(1, 6))
+            out.append((inst, Packing(tuple(moved))))
+        spread_out = Instance(f"{inst.name}-x3", inst.case_specs,
+                              (dataclasses.replace(inst.bin_specs[0], quantity=3),))
+        out.append((spread_out, random_packing(spread_out, rng)))
+    return tuple(out)

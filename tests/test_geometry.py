@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binpack3d import geometry
 from binpack3d.geometry import (
     DEFAULT_TOL,
     ORIENTATIONS,
@@ -16,13 +17,14 @@ from binpack3d.geometry import (
     PlacedBox,
     Placement,
     box_array,
+    box_credit,
     effective_dims,
     footprint_area,
     ground_support,
     interval_overlap,
     objective_value,
+    overlap_pairs,
     penetration_depth,
-    penetration_matrix,
     placed_box,
     rest_heights,
     support_area,
@@ -289,10 +291,13 @@ class TestVectorKernel:
     """The vector kernel equals the scalar reference predicates."""
 
     @_property
-    @given(_boxes)
-    def test_penetration_matrix(self, boxes):
-        got = penetration_matrix(box_array(boxes))
-        assert got.tolist() == [[penetration_depth(a, b) for b in boxes] for a in boxes]
+    @given(_boxes, st.sampled_from([0.0, DEFAULT_TOL, 0.5, 1.0]))
+    def test_overlap_pairs(self, boxes, tol):
+        a, b, depth = overlap_pairs(box_array(boxes), tol)
+        want = [(i, j, penetration_depth(boxes[i], boxes[j]))
+                for i in range(len(boxes)) for j in range(i + 1, len(boxes))]
+        assert list(zip(a.tolist(), b.tolist(), depth.tolist())) == [
+            pair for pair in want if pair[2] > tol]
 
     @_property
     @given(_boxes)
@@ -309,6 +314,7 @@ class TestVectorKernel:
         assert credit.tolist() == [
             _credit(upper, [lower for j, lower in enumerate(boxes) if j != i])
             for i, upper in enumerate(boxes)]
+        assert box_credit(arr).tolist() == credit.tolist()
 
     @_property
     @given(_boxes, _anchors, _length, _length)
@@ -343,3 +349,51 @@ class TestVectorKernel:
             assert box_i.tolist() == box[base == i].tolist()
             assert area_i.tolist() == area[base == i].tolist()
             assert support_credit(zi, ai, bi, base_i, area_i).tolist() == [credit[i]]
+
+
+def _pairs(boxes, tol=DEFAULT_TOL):
+    return [tuple(part.tolist()) for part in overlap_pairs(box_array(boxes), tol)]
+
+
+class TestOverlapPairs:
+    """Edge cases of the sort-and-sweep pair kernel."""
+
+    def test_touching_faces_do_not_overlap(self):
+        boxes = [PlacedBox(0, 0, 0, 1, 1, 1), PlacedBox(1, 0, 0, 1, 1, 1),
+                 PlacedBox(0, 1, 0, 1, 1, 1), PlacedBox(0, 0, 1, 1, 1, 1)]
+        assert _pairs(boxes) == [(), (), ()]
+
+    def test_depth_of_exactly_tol_is_not_an_overlap(self):
+        boxes = [PlacedBox(0, 0, 0, 1, 1, 1), PlacedBox(1 - 1e-6, 0, 0, 1, 1, 1)]
+        depth = penetration_depth(*boxes)
+        assert _pairs(boxes, depth) == [(), (), ()]
+        # one rounding below the depth: the pair overlaps by more than tol
+        assert _pairs(boxes, math.nextafter(depth, 0.0)) == [(0,), (1,), (depth,)]
+
+    def test_identical_boxes_overlap_by_their_smallest_side(self):
+        boxes = [PlacedBox(2, 3, 4, 3, 2, 5)] * 3
+        assert _pairs(boxes) == [(0, 0, 1), (1, 2, 2), (2.0, 2.0, 2.0)]
+
+    def test_equal_x_starts_ordered_by_row(self):
+        # rows 0 and 2 start at x = 5, row 1 before them and reaching past both
+        boxes = [PlacedBox(5, 0, 0, 1, 1, 1), PlacedBox(0, 0, 0, 9, 1, 1),
+                 PlacedBox(5, 0.5, 0, 1, 1, 1), PlacedBox(5, 3, 0, 1, 1, 1)]
+        assert _pairs(boxes) == [(0, 0, 1), (1, 2, 2), (1.0, 0.5, 0.5)]
+
+    @pytest.mark.parametrize("boxes", [[], [PlacedBox(0, 0, 0, 1, 1, 1)],
+                                       [PlacedBox(3 * i, 0, 0, 1, 1, 1) for i in range(4)]])
+    def test_no_candidates(self, boxes):
+        a, b, depth = overlap_pairs(box_array(boxes))
+        assert len(a) == len(b) == len(depth) == 0
+        assert a.dtype == b.dtype == np.intp and depth.dtype == float
+
+    @pytest.mark.parametrize("chunk", [1, 7, geometry._PAIR_CHUNK])
+    def test_result_does_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        rng = random.Random(29)
+        arr = box_array(PlacedBox(*(rng.randint(0, 12) / 2 for _ in range(3)),
+                                  *(rng.randint(1, 8) / 2 for _ in range(3)))
+                        for _ in range(60))
+        want = [part.tolist() for part in overlap_pairs(arr)], box_credit(arr).tolist()
+        assert len(want[0][0]) > 100
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        assert ([part.tolist() for part in overlap_pairs(arr)], box_credit(arr).tolist()) == want

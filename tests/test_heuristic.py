@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 import random
 import sys
 import time
@@ -653,6 +655,16 @@ class TestConfig:
     def test_out_of_range_values_rejected(self, kw, message):
         with pytest.raises(ValueError, match=message):
             SolverConfig(**kw)
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(time_limit=1),
+                                     SolverConfig(time_limit=3.5, seed=7, support_threshold=0.8,
+                                                  restarts=2, neighborhood={},
+                                                  orientations=2, deterministic=True)])
+    def test_config_pickles_and_copies(self, cfg):
+        for copied in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+            assert copied == cfg and copied is not cfg
+            with pytest.raises(TypeError):
+                copied.neighborhood["restart"] = -1.0
 
     def test_known_neighborhoods_accepted(self):
         assert SolverConfig().neighborhood == DEFAULT_NEIGHBORHOOD == {"restart": 1.0}

@@ -2,9 +2,21 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from binpack3d.geometry import BinSpec, CaseSpec, Instance, Packing, Placement
+from binpack3d import svg_render
+from binpack3d.geometry import (
+    DEFAULT_TOL,
+    BinSpec,
+    CaseSpec,
+    Instance,
+    Packing,
+    Placement,
+    box_array,
+    placed_box,
+)
 from binpack3d.svg_render import render_svg
 from binpack3d.validate import validate
+
+from conftest import dense_overlaps, judged_packings
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -60,6 +72,21 @@ class TestViews:
         assert validate(inst, pack).feasible == (marks == 0)
         for view in ("top", "front", "side"):
             assert len(rects(render_svg(inst, pack, view), "violation")) == marks
+
+    def test_violation_marks_match_dense_reference(self, monkeypatch):
+        drawn = [render_svg(inst, pack, view="top") for inst, pack in judged_packings()]
+        monkeypatch.setattr(svg_render, "overlap_pairs", dense_overlaps)
+        assert drawn == [render_svg(inst, pack, view="top") for inst, pack in judged_packings()]
+        # one mark per overlap that validate reports, and the pairs that
+        # overlap across bins in the shared frame are not marked
+        marks = [len(rects(text, "violation")) for text in drawn]
+        overlaps, crossing = [], 0
+        for inst, pack in judged_packings():
+            report = validate(inst, pack)
+            overlaps.append(sum(v.family == "overlap" for v in report.violations))
+            boxes = box_array(placed_box(inst.cases[p.case_index], p) for p in pack.placements)
+            crossing += len(dense_overlaps(boxes, DEFAULT_TOL)[0]) - overlaps[-1]
+        assert marks == overlaps and sum(marks) > 500 and crossing > 0
 
     def test_feasible_packing_has_no_violation_marks(self):
         inst = Instance("svg4", (CaseSpec(0, 2, 2, 2, quantity=2),),
