@@ -12,7 +12,8 @@ rest, how much support a base gets, and whether a box stays in its bin and is
 supported (``overhang``, ``support_deficit``), at one tolerance ``DEFAULT_TOL``:
 in scalar form over ``PlacedBox`` values, and as a vector kernel over
 ``(k, 6)`` box arrays with rows ``[x, y, z, dx, dy, dz]`` that repeats the
-scalar arithmetic (``rest_heights`` excepted, see there).  The judge's pair
+scalar arithmetic (``rest_heights`` excepted, see there).  A packing's
+boxes are one such array, from ``packing_boxes``.  The judge's pair
 functions, ``overlap_pairs`` and ``box_credit``, measure box pairs in blocks
 of about ``_PAIR_CHUNK``, so their memory does not grow with the square of
 the box count.
@@ -47,6 +48,7 @@ _AXIS_SOURCE = {
     5: (2, 0, 1),
     6: (2, 1, 0),
 }
+_AXES = np.array(list(_AXIS_SOURCE.values()))  # row k - 1: orientation k
 
 
 def _check_spec(spec, what: str) -> None:
@@ -243,8 +245,8 @@ class Placement:
     def __post_init__(self) -> None:
         if self.orientation not in ORIENTATIONS:
             raise ValueError(f"orientation must be in 1..6, got {self.orientation}")
-        if self.x < 0 or self.y < 0 or self.z < 0:
-            raise ValueError("coordinates must be non-negative")
+        if not (0 <= self.x < math.inf and 0 <= self.y < math.inf and 0 <= self.z < math.inf):
+            raise ValueError("coordinates must be finite and non-negative")
         if self.case_index < 0 or self.bin_index < 0:
             raise ValueError("indices must be non-negative")
         for attr in ("x", "y", "z"):
@@ -269,11 +271,7 @@ class Packing:
 
     def top_heights(self, inst: Instance) -> tuple[float, ...]:
         """Topmost z + z' per bin (0 for unused bins)."""
-        tops = [0.0] * inst.num_bins
-        for p in self.placements:
-            _, _, zp = effective_dims(inst.cases[p.case_index], p.orientation)
-            tops[p.bin_index] = max(tops[p.bin_index], p.z + zp)
-        return tuple(tops)
+        return tuple(bin_tops(inst, *packing_boxes(inst, self)).tolist())
 
 
 @dataclass(frozen=True)
@@ -309,6 +307,25 @@ def check_packing(inst: Instance, pack: Packing) -> None:
             raise ValueError(f"unknown case index {p.case_index}")
         if not 0 <= p.bin_index < bins:
             raise ValueError(f"unknown bin index {p.bin_index}")
+
+
+def packing_boxes(inst: Instance, pack: Packing) -> tuple[np.ndarray, np.ndarray]:
+    """A checked packing's ``(m, 6)`` box array in case order, the rows
+    ``placed_box`` gives, and each case's bin index."""
+    check_packing(inst, pack)
+    places = pack.placements
+    boxes = np.array([(p.x, p.y, p.z, *c.dims) for p, c in zip(places, inst.cases)],
+                     dtype=float).reshape(-1, 6)
+    turn = _AXES[[p.orientation - 1 for p in places]]
+    boxes[:, 3:] = np.take_along_axis(boxes[:, 3:], turn, axis=1)
+    return boxes, np.array([p.bin_index for p in places], dtype=np.int64)
+
+
+def bin_tops(inst: Instance, boxes: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Topmost z + z' of the boxes in each bin (0 for unused bins)."""
+    tops = np.zeros(inst.num_bins)
+    np.maximum.at(tops, bins, boxes[:, 2] + boxes[:, 5])
+    return tops
 
 
 def effective_dims(case, orientation: int) -> tuple[float, float, float]:
@@ -398,15 +415,18 @@ def objective_value(inst: Instance, pack: Packing) -> float:
     Lower is better; all three terms reward packing cases down and using
     fewer bins.
     """
-    check_packing(inst, pack)
+    return box_objective(inst, *packing_boxes(inst, pack))
+
+
+def box_objective(inst: Instance, boxes: np.ndarray, bins: np.ndarray) -> float:
+    """``objective_value`` of ``packing_boxes``' arrays, summed term by
+    term in case order, then bin order."""
     total = 0.0
-    for p in pack.placements:
-        _, _, zp = effective_dims(inst.cases[p.case_index], p.orientation)
-        total += (p.z + zp) * inst.case_weights[p.case_index]
-    tops = pack.top_heights(inst)
-    used = set(pack.used_bins())
-    for j, b in enumerate(inst.bins):
-        total += tops[j]
+    for top, weight in zip((boxes[:, 2] + boxes[:, 5]).tolist(), inst.case_weights):
+        total += top * weight
+    used = set(bins.tolist())
+    for j, (top, b) in enumerate(zip(bin_tops(inst, boxes, bins).tolist(), inst.bins)):
+        total += top
         if j in used:
             total += b.height
     return total
@@ -430,12 +450,6 @@ def separating_relations(a, b, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
 # --- vector kernel -----------------------------------------------------------
 
 
-def box_array(boxes) -> np.ndarray:
-    """``(k, 6)`` array of an iterable of ``PlacedBox``."""
-    return np.array([(b.x, b.y, b.z, b.dx, b.dy, b.dz) for b in boxes],
-                    dtype=float).reshape(-1, 6)
-
-
 def _overlap(a_start, a_len, b_start, b_len):
     """``interval_overlap`` over broadcast arrays."""
     return np.maximum(0.0, np.minimum(np.minimum(a_start + a_len - b_start,
@@ -448,19 +462,25 @@ def overlap_pairs(boxes: np.ndarray, tol: float = DEFAULT_TOL):
     every pair ``a < b`` whose ``penetration_depth`` exceeds ``tol >= 0``,
     ordered by ``a`` then ``b``.
 
-    Sort and sweep: with the rows in order of x start, a row can overlap
-    only the later rows that start strictly before its x end, and a depth
-    over ``tol`` implies that much in floating point too.  Only these
-    candidates are measured, ``_PAIR_CHUNK`` at a time, by the scalar
-    function's arithmetic, so the time follows the pairs that meet along x
-    and the memory the chunk and the pairs found.
+    Sort and sweep: with the rows in order of their start along one axis, a
+    row can overlap only the later rows that start strictly before its end
+    there, and a depth over ``tol`` implies that much in floating point too.
+    The sweep runs along the axis with the fewest such candidates, so a
+    column of boxes is swept along z, not x.  Only the candidates are
+    measured, ``_PAIR_CHUNK`` at a time, by the scalar function's arithmetic
+    on all three axes, so the time follows the candidate pairs and the
+    memory the chunk and the pairs found.
     """
-    order = np.argsort(boxes[:, 0], kind="stable")
-    start = boxes[order, 0]
-    stop = np.searchsorted(start, start + boxes[order, 3])
-    count = np.maximum(stop - np.arange(1, len(order) + 1), 0)
-    ends, total = np.cumsum(count), int(count.sum())
-    found = [(order[:0], order[:0], start[:0])]
+    sweeps = []
+    for axis in range(3):
+        order = np.argsort(boxes[:, axis], kind="stable")
+        start = boxes[order, axis]
+        stop = np.searchsorted(start, start + boxes[order, axis + 3])
+        count = np.maximum(stop - np.arange(1, len(order) + 1), 0)
+        sweeps.append((int(count.sum()), order, count))
+    total, order, count = min(sweeps, key=lambda sweep: sweep[0])
+    ends = np.cumsum(count)
+    found = [(order[:0], order[:0], boxes[:0, 0])]
     for lo in range(0, total, _PAIR_CHUNK):
         t = np.arange(lo, min(lo + _PAIR_CHUNK, total))
         i = np.searchsorted(ends, t, side="right")

@@ -77,33 +77,30 @@ def _new_stats() -> dict[str, int]:
 
 
 class _BinState:
-    """Mutable working set of one bin's placed boxes: the item records and,
-    row for row, their boxes in the first rows of a ``(capacity, 6)``
-    buffer, which doubles when full.
+    """Mutable working set of one bin's placed boxes, recorded only as the
+    first ``count`` rows of a ``(capacity, 6)`` buffer, which doubles when
+    full.
 
     The anchors are slots.  The bin-floor origin and each distinct corner
     of a placed box has one; while the bin holds at most ``_GRID_BOXES``
     boxes so does every pair of an x and a y coordinate of their corners.
     Slots are appended, except that the box after those drops the
-    grid-only ones from the slots and the kept cells.  Every box added goes to ``log``,
-    from which the kept ``cells`` of each case type learn which of their
-    cells to settle again."""
+    grid-only ones from the slots and the kept cells.  The kept ``cells``
+    of each case type learn which of their cells to settle again from the
+    rows added since they last looked."""
 
     def __init__(self, inst: Instance, j: int):
         self.index = j
         self.x0, self.x1 = inst.bin_window(j)
         self.width = inst.bins[j].width
         self.height = inst.bins[j].height
-        # rows: (case_index, x, y, z, dx, dy, dz)
-        self.items: list[tuple] = []
+        self.count = 0
         self._boxes = np.empty((8, 6))
         self._slot: dict[tuple[float, float], int] = {}
         self._xy = np.empty((64, 2))
         # the grid's coordinates, in first-seen order
         self._gx, self._gy = {self.x0: None}, {0.0: None}
         self._point((self.x0, 0.0))
-        # (x, y, dx, dy) of every box added, in order
-        self.log: list[tuple] = []
         self.cells: dict[tuple, _Cells] = {}
         self._top = 0.0
 
@@ -119,7 +116,7 @@ class _BinState:
         """Drop the grid-only slots, in the slots and every kept cell, and
         keep the origin and the corners in their order."""
         corners = {(self.x0, 0.0)}
-        for _, x, y, _, dx, dy, _ in self.items:
+        for x, y, _, dx, dy, _ in self.arrays().tolist():
             corners.update(((x + dx, y), (x, y + dy), (x, y)))
         kept = [xy for xy in self._slot if xy in corners]
         keep = np.array([self._slot[xy] for xy in kept])
@@ -131,18 +128,16 @@ class _BinState:
                 v[:, cols] for v in (cells.z, cells.fit, cells.fresh, cells.inbin))
 
     def arrays(self) -> np.ndarray:
-        """The items' boxes as a ``(k, 6)`` array, in item order: a view that
-        the next change overwrites."""
-        return self._boxes[:len(self.items)]
+        """The boxes as a ``(count, 6)`` array, in the order added: a view
+        that the next change overwrites."""
+        return self._boxes[:self.count]
 
-    def add(self, case_index: int, x: float, y: float, z: float,
-            dx: float, dy: float, dz: float) -> None:
-        end = len(self.items)
+    def add(self, x: float, y: float, z: float, dx: float, dy: float, dz: float) -> None:
+        end = self.count
         if end == len(self._boxes):
             self._boxes = np.concatenate((self._boxes, np.empty_like(self._boxes)))
         self._boxes[end] = x, y, z, dx, dy, dz
-        self.items.append((case_index, x, y, z, dx, dy, dz))
-        self.log.append((x, y, dx, dy))
+        self.count += 1
         if end < _GRID_BOXES:
             self._gx.update(dict.fromkeys((x, x + dx)))
             self._gy.update(dict.fromkeys((y, y + dy)))
@@ -167,8 +162,9 @@ class _Cells:
     """One bin's kept placement cells for one tuple of box dimensions
     ``(a, b, c)``: per dimensions (row) and slot (column), where the
     box rests, whether it fits there (in the bin, below its top, supported)
-    and whether that is still known (``fresh``: settled, and no box logged
-    since could have changed it).  ``seen`` counts the log entries applied."""
+    and whether that is still known (``fresh``: settled, and no box added
+    since could have changed it).  ``seen`` counts the bin's box rows
+    applied."""
 
     def __init__(self, dims: tuple, seen: int):
         self.abc = np.array(dims)
@@ -180,17 +176,18 @@ class _Cells:
 
 def _touched(xs, ys, a, b, boxes) -> np.ndarray:
     """Which cells, ``a x b`` footprints at ``(xs, ys)`` with one row of
-    ``a`` and ``b`` per dimensions, some of ``boxes`` (rows x, y, dx, dy,
-    the boxes added since the cells were settled) overlaps by more than
-    ``tol - _SLACK`` along x and y.  Only such a box can change a cell: its resting height comes from the boxes it overlaps
-    by more than ``tol``, its support credit from those it overlaps at all.
-    The boxes are tested ``_HIT_CELLS // cells`` at a time."""
+    ``a`` and ``b`` per dimensions, some of ``boxes`` (box rows, the boxes
+    added since the cells were settled) overlaps by more than ``tol -
+    _SLACK`` along x and y.  Only such a box can change a cell: its resting
+    height comes from the boxes it overlaps by more than ``tol``, its
+    support credit from those it overlaps at all.  The boxes are tested
+    ``_HIT_CELLS // cells`` at a time."""
     reach = DEFAULT_TOL - _SLACK
     hx, hy = xs + a - reach, ys + b - reach
     hit = np.zeros(hx.shape, dtype=bool)
     step = max(1, _HIT_CELLS // hx.size)
     for start in range(0, len(boxes), step):
-        x, y, dx, dy = boxes[start:start + step].T
+        x, y, _, dx, dy, _ = boxes[start:start + step].T
         hit |= ((x < hx[..., None]) & (xs[:, None] < x + dx - reach)
                 & (y < hy[..., None]) & (ys[:, None] < y + dy - reach)).any(axis=2)
     return hit
@@ -260,25 +257,23 @@ class _WorkState:
         self.threshold = threshold
         self.bins = [_BinState(inst, j) for j in range(inst.num_bins)]
         self.place: dict[int, tuple[int, float, float, float, int]] = {}
-        # each placed case's top z + dz, in the same insertion order as place
-        self.tops: dict[int, float] = {}
+        # sum of weight * top z + dz over the placed cases, in commit order
+        self.weighted = 0.0
         self.weight = inst.case_weights
         self.stats = _new_stats() if stats is None else stats
 
     def objective(self) -> float:
-        total = 0.0
-        for i, top in self.tops.items():
-            total += self.weight[i] * top
+        total = self.weighted
         for bs in self.bins:
-            if bs.items:
+            if bs.count:
                 total += bs.top() + self.inst.bins[bs.index].height
         return total
 
     def commit(self, case_index: int, spot: _Spot) -> None:
         dx, dy, dz = spot.dims
-        self.bins[spot.bin_index].add(case_index, spot.x, spot.y, spot.z, dx, dy, dz)
+        self.bins[spot.bin_index].add(spot.x, spot.y, spot.z, dx, dy, dz)
         self.place[case_index] = (spot.bin_index, spot.x, spot.y, spot.z, spot.orientation)
-        self.tops[case_index] = spot.z + dz
+        self.weighted += self.weight[case_index] * (spot.z + dz)
 
     def packing(self) -> Packing:
         return Packing(tuple(
@@ -304,7 +299,7 @@ class _WorkState:
             fits, shapes, shape_of = _fitting(case, allowed, bs.x0, bs.x1, bs.width, bs.height)
             if not fits:
                 continue
-            opening = 0.0 if bs.items else self.inst.bins[bs.index].height
+            opening = 0.0 if bs.count else self.inst.bins[bs.index].height
             spots = self._search(bs, shapes, bs.top(), opening, self.weight[case_index])
             for k, s in zip(fits, shape_of):
                 if spots[s] is not None:
@@ -319,18 +314,18 @@ class _WorkState:
                 g_cur: float, opening: float, weight: float) -> list:
         """Best (score, z, y, x) over the bin's slots for each ``(a, b, c)``
         in ``dims``, or None where none fits.  The cells kept for ``dims``
-        are settled again only where a slot is new or a box logged since
+        are settled again only where a slot is new or a box added since
         could touch the cell."""
         cells = bs.cells.get(dims)
         if cells is None:
-            cells = bs.cells[dims] = _Cells(dims, len(bs.log))
+            cells = bs.cells[dims] = _Cells(dims, bs.count)
         xy = bs.slots()
         xs, ys = xy[:, 0], xy[:, 1]
         a, b, _ = cells.abc.T[:, :, None]
         old = cells.z.shape[1]
-        if old and cells.seen < len(bs.log):
-            cells.fresh &= ~_touched(xs[:old], ys[:old], a, b, np.array(bs.log[cells.seen:]))
-        cells.seen = len(bs.log)
+        if old and cells.seen < bs.count:
+            cells.fresh &= ~_touched(xs[:old], ys[:old], a, b, bs.arrays()[cells.seen:])
+        cells.seen = bs.count
         if len(xs) > old:
             new = (len(dims), len(xs) - old)
             inbin = (within_tol(overhang(xs[old:], a, bs.x1))

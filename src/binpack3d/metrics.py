@@ -6,7 +6,9 @@ import json
 import warnings
 from dataclasses import dataclass, field
 
-from .geometry import Instance, Packing, check_packing
+import numpy as np
+
+from .geometry import Instance, Packing, bin_tops, packing_boxes
 
 
 class BoundInconsistencyWarning(UserWarning):
@@ -19,28 +21,25 @@ def utilization(inst: Instance, pack: Packing, bin_index: int) -> float | None:
     Returns None for an unused bin: the occupied height is zero there, so
     the ratio is undefined and reports omit it.
     """
-    check_packing(inst, pack)
+    used = bin_utilizations(inst, pack)
     if not 0 <= bin_index < inst.num_bins:
         raise ValueError(f"unknown bin index {bin_index}")
-    volume = 0.0
-    for p in pack.placements:
-        if p.bin_index == bin_index:
-            volume += inst.cases[p.case_index].volume
-    if volume == 0.0:
-        return None
-    top = pack.top_heights(inst)[bin_index]
-    bn = inst.bins[bin_index]
-    return volume / (bn.length * bn.width * top)
+    return used.get(bin_index)
 
 
 def bin_utilizations(inst: Instance, pack: Packing) -> dict[int, float]:
     """Utilization for every used bin, keyed by bin index."""
-    out = {}
-    for j in pack.used_bins():
-        value = utilization(inst, pack, j)
-        if value is not None:
-            out[j] = value
-    return out
+    return box_utilizations(inst, *packing_boxes(inst, pack))
+
+
+def box_utilizations(inst: Instance, boxes: np.ndarray, bins: np.ndarray) -> dict[int, float]:
+    """``bin_utilizations`` of ``packing_boxes``' arrays: each bin's case
+    volumes summed in case order, over its floor area times its top."""
+    volumes = np.bincount(bins, weights=[c.volume for c in inst.cases],
+                          minlength=inst.num_bins).tolist()
+    tops = bin_tops(inst, boxes, bins).tolist()
+    return {j: volume / (inst.bins[j].length * inst.bins[j].width * tops[j])
+            for j, volume in enumerate(volumes) if volume != 0.0}
 
 
 def gap_vs_bound(objective: float, bound: float) -> float:

@@ -56,10 +56,9 @@ from .geometry import (
     Packing,
     Placement,
     _overlap,
-    box_array,
-    check_packing,
+    bin_tops,
     effective_dims,
-    placed_box,
+    packing_boxes,
 )
 
 BINARY = "binary"
@@ -624,17 +623,14 @@ def packing_to_assignment(model: Model, pack: Packing,
     or ordered pairs of a family at once.
     """
     inst = model.instance
-    check_packing(inst, pack)
+    box, bins = packing_boxes(inst, pack)
     m, n = inst.num_cases, inst.num_bins
     reg = model.registry
     at = {family: block.start for family, block in reg.families.items()}
     v = np.zeros(len(reg))
-    # A Packing holds its placements in case order, one per case.
-    placements = pack.placements
-    box = box_array(map(placed_box, inst.cases, placements))
     pos, ext = box[:, :3], box[:, 3:]
-    bins = np.array([p.bin_index for p in placements], dtype=np.int64)
-    kpos = np.array([ORIENTATIONS.index(p.orientation) for p in placements], dtype=np.int64)
+    # A Packing holds its placements in case order, one per case.
+    kpos = np.array([p.orientation - 1 for p in pack.placements], dtype=np.int64)
 
     used = set(bins.tolist())
     # Open bins as a prefix within each type group so in-order rows hold.
@@ -647,9 +643,7 @@ def packing_to_assignment(model: Model, pack: Packing,
     v[at["r"] + 6 * cases + kpos] = 1.0
     for k, family in enumerate(("x", "y", "z", "xp", "yp", "zp")):
         v[at[family] + cases] = box[:, k]
-    tops = np.zeros(n)
-    np.fmax.at(tops, bins, pos[:, 2] + ext[:, 2])
-    v[at["g"]:at["g"] + n] = tops
+    v[at["g"]:at["g"] + n] = bin_tops(inst, box, bins)
 
     # Relation q holds when lo + ext <= hi + tol (see separating_relations);
     # argmax picks the first that holds, and relation 0 when none does.

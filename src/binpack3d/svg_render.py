@@ -7,7 +7,8 @@ id; the overlap region of every pair that ``validate`` reports as
 overlapping (penetration beyond ``DEFAULT_TOL``) is stroked in the
 violation style so defects are visible at a glance.  The pairs come from
 ``geometry.overlap_pairs`` over all boxes in the shared frame, kept to the
-pairs within one bin, in ``validate``'s order.
+pairs within one bin, in ``validate``'s order.  A render draws the cases,
+the marks and the layers from one ``geometry.packing_boxes`` array.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from .geometry import (
     DEFAULT_TOL,
     Instance,
     Packing,
-    box_array,
-    check_packing,
     overlap_pairs,
-    placed_box,
+    packing_boxes,
 )
 
 VIEWS = ("top", "front", "side", "layers")
@@ -72,10 +71,8 @@ def _case_style(spec_id: int) -> str:
 _BIN_STYLE = 'fill="none" stroke="#888" stroke-width="1"'
 
 
-def _overlap_rects(inst: Instance, pack: Packing, axes: tuple[int, int]) -> list[tuple]:
+def _overlap_rects(boxes: np.ndarray, bins: np.ndarray, axes: tuple[int, int]) -> list[tuple]:
     """Projected overlap regions of the pairs ``validate`` reports."""
-    boxes = box_array(placed_box(inst.cases[p.case_index], p) for p in pack.placements)
-    bins = np.array([p.bin_index for p in pack.placements])
     a, b, _ = overlap_pairs(boxes, DEFAULT_TOL)
     same = bins[a] == bins[b]
     a, b = a[same], b[same]
@@ -87,11 +84,11 @@ def _overlap_rects(inst: Instance, pack: Packing, axes: tuple[int, int]) -> list
 
 def render_svg(inst: Instance, pack: Packing, view: str = "top") -> str:
     """Render a packing to SVG text (deterministic for fixed inputs)."""
-    check_packing(inst, pack)
+    boxes, bins = packing_boxes(inst, pack)
     if view not in VIEWS:
         raise ValueError(f"view must be one of {VIEWS}, got {view!r}")
     if view == "layers":
-        return _render_layers(inst, pack)
+        return _render_layers(inst, boxes.tolist())
 
     axes, frame = {
         "top": ((0, 1), (inst.total_length, inst.max_width)),
@@ -113,29 +110,24 @@ def render_svg(inst: Instance, pack: Packing, view: str = "top") -> str:
         }[view]
         lines.append(panel.rect(*extent, _BIN_STYLE))
 
-    for p in pack.placements:
-        box = placed_box(inst.cases[p.case_index], p)
-        coords = ((box.x, box.y, box.z), (box.dx, box.dy, box.dz))
-        u, v = axes
-        lines.append(panel.rect(coords[0][u], coords[0][v], coords[1][u],
-                                coords[1][v],
-                                _case_style(inst.cases[p.case_index].spec_id)))
-    for u0, v0, du, dv in _overlap_rects(inst, pack, axes):
+    u, v = axes
+    for box, case in zip(boxes.tolist(), inst.cases):
+        lines.append(panel.rect(box[u], box[v], box[3 + u], box[3 + v],
+                                _case_style(case.spec_id)))
+    for u0, v0, du, dv in _overlap_rects(boxes, bins, axes):
         lines.append(panel.rect(u0, v0, du, dv, _VIOLATION_STYLE))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def _render_layers(inst: Instance, pack: Packing) -> str:
-    levels = sorted({p.z for p in pack.placements})
+def _render_layers(inst: Instance, rows: list) -> str:
+    levels = sorted({row[2] for row in rows})
     fw, fh = inst.total_length, inst.max_width
     scale = min(_SCALE_TARGET / max(fw, fh), 240.0 / max(fw, fh))
     panel_h = fh * scale + 28.0
     width = fw * scale + 2 * _MARGIN
     height = _MARGIN + panel_h * max(1, len(levels)) + _MARGIN
     lines = [_svg_open(width, height)]
-    boxes = {p.case_index: placed_box(inst.cases[p.case_index], p)
-             for p in pack.placements}
     for row, level in enumerate(levels):
         oy = _MARGIN + row * panel_h + 20.0
         panel = _Panel(_MARGIN, oy, fw, fh, scale)
@@ -146,11 +138,9 @@ def _render_layers(inst: Instance, pack: Packing) -> str:
             start, end = inst.bin_window(j)
             lines.append(panel.rect(start, 0.0, end - start,
                                     inst.bins[j].width, _BIN_STYLE))
-        for p in pack.placements:
-            box = boxes[p.case_index]
-            if box.z <= level + DEFAULT_TOL < box.top:
-                lines.append(panel.rect(box.x, box.y, box.dx, box.dy,
-                                        _case_style(inst.cases[p.case_index].spec_id)))
+        for (x, y, z, dx, dy, dz), case in zip(rows, inst.cases):
+            if z <= level + DEFAULT_TOL < z + dz:
+                lines.append(panel.rect(x, y, dx, dy, _case_style(case.spec_id)))
         lines.append(f'  <g class="layer-sep" data-z="{_fmt(level)}"></g>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

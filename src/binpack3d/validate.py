@@ -9,6 +9,9 @@ in ``geometry`` that the solvers place cases by):
     boundary     a case leaves its bin's window in x, y or z
     bin_gap      a case straddles the seam between two bins
     support      credited support area below the threshold fraction
+
+All of them, the objective and the utilizations are read from the one box
+array of the packing that ``geometry.packing_boxes`` makes.
 """
 
 from __future__ import annotations
@@ -16,21 +19,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .geometry import (
     DEFAULT_TOL,
     Instance,
     Packing,
-    box_array,
     box_credit,
-    check_packing,
-    objective_value,
+    box_objective,
     overhang,
     overlap_pairs,
-    placed_box,
+    packing_boxes,
     support_deficit,
     within_tol,
 )
-from .metrics import bin_utilizations
+from .metrics import box_utilizations
 
 FAMILIES = ("overlap", "boundary", "bin_gap", "support")
 
@@ -90,45 +93,43 @@ def validate(inst: Instance, pack: Packing, tol: float = DEFAULT_TOL,
         raise ValueError("tolerance must be a finite number >= 0")
     if support is not None and not 0 <= support <= 1:
         raise ValueError("support threshold must lie in [0, 1]")
-    check_packing(inst, pack)
+    boxes, bins = packing_boxes(inst, pack)
     threshold = support if support is not None else inst.support_threshold
     violations: list[Violation] = []
-
-    boxes = {p.case_index: placed_box(inst.cases[p.case_index], p)
-             for p in pack.placements}
+    x, y, z, dx, dy, dz = boxes.T
 
     # Boundary: each case within its bin's window along all three axes.
-    # Bin gap: the x interval must not strictly contain an internal seam.
-    for p in pack.placements:
-        box = boxes[p.case_index]
-        start, end = inst.bin_window(p.bin_index)
-        bn = inst.bins[p.bin_index]
-        spill = max(overhang(start, 0.0, box.x), overhang(box.x, box.dx, end),
-                    overhang(box.y, box.dy, bn.width), overhang(box.z, box.dz, bn.height))
-        if not within_tol(spill, tol):
-            violations.append(Violation("boundary", (p.case_index,), spill))
-        for seam in inst.cum_lengths[:-1]:
-            depth = min(overhang(seam, 0.0, box.x), overhang(box.x, box.dx, seam))
-            if not within_tol(depth, tol):
-                violations.append(Violation("bin_gap", (p.case_index,), depth))
+    # Bin gap: the x interval must not strictly contain an internal seam,
+    # judged seam by seam.
+    frame = np.array([(*inst.bin_window(j), b.width, b.height) for j, b in enumerate(inst.bins)])
+    start, end, width, height = frame.reshape(-1, 4)[bins].T
+    spill = np.maximum.reduce([overhang(start, 0.0, x), overhang(x, dx, end),
+                               overhang(y, dy, width), overhang(z, dz, height)])
+    flagged = [("boundary", spill)] + [
+        ("bin_gap", np.minimum(overhang(seam, 0.0, x), overhang(x, dx, seam)))
+        for seam in inst.cum_lengths[:-1]]
+    for family, amount in flagged:
+        for i in np.flatnonzero(~within_tol(amount, tol)).tolist():
+            violations.append(Violation(family, (i,), amount[i].item()))
 
-    # Overlap (same-bin pairs disjoint as open boxes) and support (credited
-    # contact area against the threshold fraction), one bin at a time.
-    by_bin: dict[int, list[int]] = {}
-    for p in pack.placements:
-        by_bin.setdefault(p.bin_index, []).append(p.case_index)
+    # Overlap: same-bin pairs disjoint as open boxes, all bins' boxes
+    # measured at once in the shared frame.
+    a, b, depth = overlap_pairs(boxes, tol)
+    same = bins[a] == bins[b]
+    for pair in zip(a[same].tolist(), b[same].tolist(), depth[same].tolist()):
+        violations.append(Violation("overlap", pair[:2], pair[2]))
+
+    # Support: credited contact area against the threshold fraction, from
+    # the boxes of the case's own bin.
     coverage: dict[int, float] = {}
-    for members in by_bin.values():
-        arr = box_array(boxes[i] for i in members)
-        pairs = (part.tolist() for part in overlap_pairs(arr, tol))
-        for a, b, depth in zip(*pairs):
-            violations.append(Violation("overlap", (members[a], members[b]), depth))
-        if threshold is None:
-            continue
+    for j in (dict.fromkeys(bins.tolist()) if threshold is not None else ()):
+        members = np.flatnonzero(bins == j)
+        arr = boxes[members]
         credits = box_credit(arr, tol)
         deficits = support_deficit(threshold, arr[:, 3], arr[:, 4], credits)
-        for i, credit, deficit in zip(members, credits.tolist(), deficits.tolist()):
-            footprint = boxes[i].footprint
+        footprints = arr[:, 3] * arr[:, 4]
+        for i, credit, deficit, footprint in zip(members.tolist(), credits.tolist(),
+                                                 deficits.tolist(), footprints.tolist()):
             coverage[i] = credit / footprint if footprint > 0 else 1.0
             if not within_tol(deficit, tol):
                 violations.append(Violation("support", (i,), deficit))
@@ -137,7 +138,7 @@ def validate(inst: Instance, pack: Packing, tol: float = DEFAULT_TOL,
     return AuditReport(
         feasible=not violations,
         violations=violations,
-        objective=objective_value(inst, pack),
-        utilization=bin_utilizations(inst, pack),
+        objective=box_objective(inst, boxes, bins),
+        utilization=box_utilizations(inst, boxes, bins),
         support_coverage=coverage,
     )

@@ -109,6 +109,22 @@ def mixed_bin_instance() -> Instance:
                     (BinSpec(0, 6.1, 4.3, 3.7, quantity=2), BinSpec(1, 7.3, 5.2, 2.9)))
 
 
+def seam_packing() -> tuple[Instance, Packing]:
+    """Three bins of two types, [0, 4), [4, 8) and [8, 11), the middle one
+    unused.  Case 2, 6 long in bin 0, straddles both seams and overlaps case
+    1 in its bin; case 0 in bin 2 starts before its window and overlaps case
+    2 in the shared frame only.  Cases 3-5 stand in one column of bin 0.
+    Bin 0's case volumes sum to another float in reverse order."""
+    inst = Instance("seams",
+                    (CaseSpec(0, 2, 2, 2, quantity=2), CaseSpec(1, 6, 0.7, 1.3),
+                     CaseSpec(2, 1.1, 0.7, 1.3, quantity=3)),
+                    (BinSpec(0, 4, 4, 4, quantity=2), BinSpec(1, 3, 4, 5)))
+    return inst, Packing((
+        Placement(0, 2, 7.5, 0, 0, 1), Placement(1, 0, 1, 0, 0, 1),
+        Placement(2, 0, 2.5, 0, 0, 1), Placement(3, 0, 0, 2.5, 0, 1),
+        Placement(4, 0, 0, 2.5, 1.3, 1), Placement(5, 0, 0, 2.5, 2.6, 1)))
+
+
 def dense_overlaps(boxes: np.ndarray, tol: float):
     """Reference for ``geometry.overlap_pairs``: the depth of every pair of
     rows in a dense ``(k, k)`` matrix, then the pairs above ``tol`` in row

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from binpack3d.geometry import (
     Packing,
     PlacedBox,
     Placement,
-    box_array,
     box_credit,
     effective_dims,
     footprint_area,
@@ -24,6 +24,7 @@ from binpack3d.geometry import (
     interval_overlap,
     objective_value,
     overlap_pairs,
+    packing_boxes,
     penetration_depth,
     placed_box,
     rest_heights,
@@ -31,6 +32,8 @@ from binpack3d.geometry import (
     support_credit,
     support_pairs,
 )
+
+from conftest import seam_packing
 
 
 class TestEffectiveDims:
@@ -246,6 +249,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             Placement(0, 0, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", range(3))
+    def test_placement_rejects_non_finite_coordinates(self, value, axis):
+        corner = [0.0, 0.0, 0.0]
+        corner[axis] = value
+        with pytest.raises(ValueError, match="finite"):
+            Placement(0, 0, *corner, 1)
+
     def test_packing_one_placement_per_case(self):
         with pytest.raises(ValueError):
             Packing((Placement(0, 0, 0, 0, 0, 1), Placement(0, 0, 1, 0, 0, 1)))
@@ -279,6 +290,11 @@ _anchors = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8)
 _property = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
+def _rows(boxes) -> np.ndarray:
+    """``(k, 6)`` array of ``PlacedBox`` values."""
+    return np.array([astuple(b) for b in boxes], dtype=float).reshape(-1, 6)
+
+
 def _credit(upper, lowers):
     """Scalar support credit: the floor, then each lower box in order."""
     credit = ground_support(upper)
@@ -287,13 +303,65 @@ def _credit(upper, lowers):
     return credit
 
 
+def _scalar_objective(inst, pack):
+    """``objective_value`` term by term over scalar boxes: the case tops
+    in case order, then each bin's top and height."""
+    tops = [0.0] * inst.num_bins
+    total = 0.0
+    for p in pack.placements:
+        top = placed_box(inst.cases[p.case_index], p).top
+        total += top * inst.case_weights[p.case_index]
+        tops[p.bin_index] = max(tops[p.bin_index], top)
+    for j, b in enumerate(inst.bins):
+        total += tops[j]
+        if j in pack.used_bins():
+            total += b.height
+    return total, tuple(tops)
+
+
+class TestPackingBoxes:
+    """A packing's one box array equals its scalar boxes."""
+
+    def test_rows_are_placed_boxes_in_all_six_orientations(self):
+        inst = Instance("turns", (CaseSpec(0, 1.5, 2.25, 3.75, quantity=6), CaseSpec(1, 1, 2, 3)),
+                        (BinSpec(0, 9, 9, 9, quantity=2), BinSpec(1, 8, 9, 9)))
+        pack = Packing(tuple(Placement(i, i % 3, inst.bin_window(i % 3)[0] + i / 4, i / 8,
+                                       i / 2, i % 6 + 1) for i in range(7)))
+        boxes, bins = packing_boxes(inst, pack)
+        assert boxes.tolist() == [list(astuple(placed_box(inst.cases[p.case_index], p)))
+                                  for p in pack.placements]
+        assert bins.tolist() == [p.bin_index for p in pack.placements]
+        assert {p.orientation for p in pack.placements} == set(ORIENTATIONS)
+
+    def test_empty_packing(self):
+        boxes, bins = packing_boxes(Instance("none", (), (BinSpec(0, 1, 1, 1),)), Packing(()))
+        assert boxes.shape == (0, 6) and bins.shape == (0,)
+
+    @pytest.mark.parametrize("placements,message", [
+        ((Placement(0, 0, 0, 0, 0, 1),), "packing has 1 placements, instance has 2 cases"),
+        ((Placement(0, 0, 0, 0, 0, 1), Placement(2, 0, 0, 0, 0, 1)), "unknown case index 2"),
+        ((Placement(0, 0, 0, 0, 0, 1), Placement(1, 3, 0, 0, 0, 1)), "unknown bin index 3"),
+    ])
+    def test_raises_check_packing_errors(self, placements, message):
+        inst = Instance("two", (CaseSpec(0, 1, 1, 1, quantity=2),), (BinSpec(0, 5, 5, 5),))
+        with pytest.raises(ValueError, match=message):
+            packing_boxes(inst, Packing(placements))
+
+    def test_objective_and_tops_match_the_scalar_sums(self):
+        inst, pack = seam_packing()
+        objective, tops = _scalar_objective(inst, pack)
+        assert repr(objective_value(inst, pack)) == repr(objective)
+        assert type(objective_value(inst, pack)) is float
+        assert pack.top_heights(inst) == tops == (3.9000000000000004, 0.0, 2.0)
+
+
 class TestVectorKernel:
     """The vector kernel equals the scalar reference predicates."""
 
     @_property
     @given(_boxes, st.sampled_from([0.0, DEFAULT_TOL, 0.5, 1.0]))
     def test_overlap_pairs(self, boxes, tol):
-        a, b, depth = overlap_pairs(box_array(boxes), tol)
+        a, b, depth = overlap_pairs(_rows(boxes), tol)
         want = [(i, j, penetration_depth(boxes[i], boxes[j]))
                 for i in range(len(boxes)) for j in range(i + 1, len(boxes))]
         assert list(zip(a.tolist(), b.tolist(), depth.tolist())) == [
@@ -302,7 +370,7 @@ class TestVectorKernel:
     @_property
     @given(_boxes)
     def test_box_on_box_support_credit(self, boxes):
-        arr = box_array(boxes)
+        arr = _rows(boxes)
         x, y, z, dx, dy = arr[:, :5].T
         base, box, area = support_pairs(arr, x, y, z, dx, dy)
         dense = np.zeros((len(boxes), len(boxes)))
@@ -319,7 +387,7 @@ class TestVectorKernel:
     @_property
     @given(_boxes, _anchors, _length, _length)
     def test_rest_height_and_credit_at_anchors(self, boxes, anchors, a, b):
-        arr = box_array(boxes)
+        arr = _rows(boxes)
         xs, ys = np.array(anchors, dtype=float).T
         z = rest_heights(arr, xs, ys, a, b)
         assert z.tolist() == [
@@ -336,7 +404,7 @@ class TestVectorKernel:
     @_property
     @given(_boxes, st.lists(st.tuples(_coord, _coord, _length, _length), min_size=1, max_size=8))
     def test_per_anchor_dims_match_scalar_dims(self, boxes, rows):
-        arr = box_array(boxes)
+        arr = _rows(boxes)
         xs, ys, a, b = np.array(rows, dtype=float).T
         z = rest_heights(arr, xs, ys, a, b)
         base, box, area = support_pairs(arr, xs, ys, z, a, b)
@@ -352,7 +420,7 @@ class TestVectorKernel:
 
 
 def _pairs(boxes, tol=DEFAULT_TOL):
-    return [tuple(part.tolist()) for part in overlap_pairs(box_array(boxes), tol)]
+    return [tuple(part.tolist()) for part in overlap_pairs(_rows(boxes), tol)]
 
 
 class TestOverlapPairs:
@@ -383,16 +451,34 @@ class TestOverlapPairs:
     @pytest.mark.parametrize("boxes", [[], [PlacedBox(0, 0, 0, 1, 1, 1)],
                                        [PlacedBox(3 * i, 0, 0, 1, 1, 1) for i in range(4)]])
     def test_no_candidates(self, boxes):
-        a, b, depth = overlap_pairs(box_array(boxes))
+        a, b, depth = overlap_pairs(_rows(boxes))
         assert len(a) == len(b) == len(depth) == 0
         assert a.dtype == b.dtype == np.intp and depth.dtype == float
+
+    @pytest.mark.parametrize("step", [1.0, 0.5])
+    def test_a_column_is_swept_along_z(self, monkeypatch, step):
+        """2,000 boxes in one column all meet along x and y: swept along z,
+        only neighbours that meet there are measured."""
+        k = 2000
+        column = np.array([(0.0, 0.0, step * i, 1.0, 1.0, 1.0) for i in range(k)])
+        measured = []
+        overlap = geometry._overlap
+        monkeypatch.setattr(geometry, "_overlap",
+                            lambda *args: measured.append(len(args[0])) or overlap(*args))
+        a, b, depth = overlap_pairs(column)
+        if step == 1.0:
+            assert measured == [] and len(a) == 0
+        else:
+            assert measured == [k - 1]
+            assert (a.tolist(), b.tolist()) == (list(range(k - 1)), list(range(1, k)))
+            assert set(depth.tolist()) == {0.5}
 
     @pytest.mark.parametrize("chunk", [1, 7, geometry._PAIR_CHUNK])
     def test_result_does_not_depend_on_the_chunk(self, monkeypatch, chunk):
         rng = random.Random(29)
-        arr = box_array(PlacedBox(*(rng.randint(0, 12) / 2 for _ in range(3)),
-                                  *(rng.randint(1, 8) / 2 for _ in range(3)))
-                        for _ in range(60))
+        arr = _rows([PlacedBox(*(rng.randint(0, 12) / 2 for _ in range(3)),
+                               *(rng.randint(1, 8) / 2 for _ in range(3)))
+                     for _ in range(60)])
         want = [part.tolist() for part in overlap_pairs(arr)], box_credit(arr).tolist()
         assert len(want[0][0]) > 100
         monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)

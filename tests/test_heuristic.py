@@ -23,7 +23,7 @@ from binpack3d.metrics import BoundInconsistencyWarning, gap_vs_bound
 from binpack3d.solvers import DEFAULT_NEIGHBORHOOD, DETERMINISTIC_STEPS_PER_SECOND, SolverConfig
 from binpack3d.validate import validate
 
-from conftest import LARGEST_TIME_LIMIT, make_instance
+from conftest import LARGEST_TIME_LIMIT, make_instance, mixed_bin_instance
 
 
 def quick_cfg(**kw):
@@ -81,6 +81,21 @@ class TestConstruction:
         assert res.feasible
         assert len({p.bin_index for p in res.packing.placements}) == 3
         assert validate(inst, res.packing).feasible
+
+    @pytest.mark.parametrize("threshold", [None, 0.8])
+    def test_objective_sums_the_commits_in_order(self, threshold):
+        """The weighted sum kept up to date in ``commit`` equals the loop
+        over each placed case's top in commit order, then the used bins."""
+        for inst in (load_bundled(6), mixed_bin_instance()):
+            state = heuristic._construct(inst, ORIENTATIONS, threshold, 1, random.Random(3),
+                                         heuristic._Budget(quick_cfg()))
+            want = 0.0
+            for i, (_, _, _, z, k) in state.place.items():
+                want += state.weight[i] * (z + effective_dims(inst.cases[i], k)[2])
+            for bs in state.bins:
+                if len(bs.arrays()):
+                    want += bs.top() + inst.bins[bs.index].height
+            assert repr(state.objective()) == repr(want)
 
 
 class TestQuality:
@@ -298,20 +313,20 @@ def _reference_anchors(state, dense):
     ``_GRID_BOXES`` boxes' corner coordinates, or every box's corners."""
     if dense:
         xs, ys = {state.x0}, {0.0}
-        for _, px, py, _, dx, dy, _ in state.items[:heuristic._GRID_BOXES]:
+        for px, py, _, dx, dy, _ in state.arrays()[:heuristic._GRID_BOXES].tolist():
             xs.update((px, px + dx))
             ys.update((py, py + dy))
         return [(x, y) for x in sorted(xs) for y in sorted(ys)]
     pairs = {(state.x0, 0.0)}
-    for _, px, py, _, dx, dy, _ in state.items:
+    for px, py, _, dx, dy, _ in state.arrays().tolist():
         pairs.update(((px + dx, py), (px, py + dy), (px, py)))
     return sorted(pairs)
 
 
 def _searched(bs):
-    """The anchors a bin's search covers, worked out from its items: the
+    """The anchors a bin's search covers, worked out from its boxes: the
     grid while it holds at most ``_GRID_BOXES`` boxes, the corners after."""
-    return np.array(_reference_anchors(bs, len(bs.items) <= heuristic._GRID_BOXES))
+    return np.array(_reference_anchors(bs, len(bs.arrays()) <= heuristic._GRID_BOXES))
 
 
 class TestAnchorChunks:
@@ -359,13 +374,13 @@ class TestBinState:
         state = heuristic._BinState(inst, j)
         for p in res.packing.placements:
             if p.bin_index == j:
-                state.add(p.case_index, p.x, p.y, p.z,
+                state.add(p.x, p.y, p.z,
                           *effective_dims(inst.cases[p.case_index], p.orientation))
         return state
 
     def test_floor_origin_always_present(self):
         state = self._solved_state(load_bundled(1), 0)
-        assert state.items
+        assert len(state.arrays())
         assert state.slots()[0].tolist() == [0.0, 0.0]
 
     def test_anchors_inside_bin(self):
@@ -389,19 +404,20 @@ class TestBinState:
         ones and keeps the rest in order."""
         inst = Instance("grid", (CaseSpec(0, 1, 1, 1),), (BinSpec(0, 10, 10, 10, quantity=2),))
         state = heuristic._BinState(inst, j)
-        before = []
+        before, added = [], []
         for i, (x, y, dx, dy) in enumerate(items):
-            state.add(i, state.x0 + x, y, i / 7, dx, dy, 1.0 + i / 3)
+            added.append([state.x0 + x, y, i / 7, dx, dy, 1.0 + i / 3])
+            state.add(*added[-1])
             slots = list(map(tuple, state.slots().tolist()))
             corners = _reference_anchors(state, False)
-            if len(state.items) == heuristic._GRID_BOXES + 1:
+            if len(added) == heuristic._GRID_BOXES + 1:
                 before = [p for p in before if p in corners]
             assert slots[:len(before)] == before
-            grid = _reference_anchors(state, len(state.items) <= heuristic._GRID_BOXES)
+            grid = _reference_anchors(state, len(added) <= heuristic._GRID_BOXES)
             assert sorted(slots) == sorted({*grid, *corners})
             before = slots
-            assert state.arrays().tolist() == [list(it[1:]) for it in state.items]
-            assert state.top() == max(it[3] + it[6] for it in state.items)
+            assert state.arrays().tolist() == added
+            assert state.top() == max(z + dz for _, _, z, _, _, dz in added)
 
     # a 9th box that fills the gap's far end, or whose corner lands on (3, 2)
     @pytest.mark.parametrize("ninth,after", [((3.0, 8.0, 1.0, 2.0, 2.5), (3.0, 0.0, 1.5)),
@@ -419,7 +435,7 @@ class TestBinState:
                                                         (8, 10))]
         picks = []
         for n, (x, y, dx, dy, dz) in enumerate([*boxes, ninth]):
-            bs.add(n, x, y, 0.0, dx, dy, dz)
+            bs.add(x, y, 0.0, dx, dy, dz)
             if n >= heuristic._GRID_BOXES - 1:
                 spot = state.best_spot(0, (1,))
                 picks.append((spot.x, spot.y, spot.z))
@@ -465,7 +481,7 @@ class TestCellCache:
         bs = state.bins[j]
         with mock.patch.object(heuristic, "_HIT_CELLS", hit_cells):
             for n, ((x, y, z, dx, dy, dz), search) in enumerate(steps):
-                bs.add(n, bs.x0 + x, y, z, dx, dy, dz)
+                bs.add(bs.x0 + x, y, z, dx, dy, dz)
                 if search or n == len(steps) - 1:
                     self.check(state, bs, dims)
 
@@ -494,8 +510,8 @@ class TestCellCache:
         state = heuristic._WorkState(inst, 0.8)
         bs = state.bins[0]
         cells = []
-        for i, x, dx in ((0, 0.0, 0.8 - 1.5 * TOL), (1, 1.0 - TOL, 1.0)):
-            bs.add(i, x, 0.0, 0.0, dx, 1.0, 1.0)
+        for x, dx in ((0.0, 0.8 - 1.5 * TOL), (1.0 - TOL, 1.0)):
+            bs.add(x, 0.0, 0.0, dx, 1.0, 1.0)
             state._search(bs, ((1.0, 1.0, 1.0),), 1.0, 0.0, 0.01)
             origin = bs.cells[(1.0, 1.0, 1.0),]
             cells.append((float(origin.z[0, 0]), bool(origin.fit[0, 0])))
@@ -529,7 +545,7 @@ def _reference_spot(state, i, allowed, noise):
     case = state.inst.cases[i]
     best = None
     for bs in state.bins:
-        opening = 0.0 if bs.items else state.inst.bins[bs.index].height
+        opening = 0.0 if len(bs.arrays()) else state.inst.bins[bs.index].height
         for k in allowed:
             a, b, c = effective_dims(case, k)
             if max(bs.x0 + a - bs.x1, b - bs.width, c - bs.height) > DEFAULT_TOL:
@@ -564,7 +580,7 @@ class TestDistinctShapes:
         # the 8 x 7 x 7.2 cases first, then 7 x 7 x 6.1 ones, searching
         # for case 0 on the empty bin, on the full grid and on kept corners
         for i in [*range(40, 76), *range(39, 0, -1)]:
-            if len(state.bins[0].items) in (0, 3, 8, 9, 15, 30, 45, 60):
+            if len(state.bins[0].arrays()) in (0, 3, 8, 9, 15, 30, 45, 60):
                 # equal noise on equal shapes ties their scores: k breaks it
                 noise = ({k: 1.0 + rng.random() for k in ORIENTATIONS} if noisy
                          else None)

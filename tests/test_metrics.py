@@ -1,7 +1,21 @@
 import pytest
 
-from binpack3d.geometry import BinSpec, CaseSpec, Instance, Packing, Placement
+from binpack3d.geometry import BinSpec, CaseSpec, Instance, Packing, Placement, placed_box
 from binpack3d.metrics import RunReport, bin_utilizations, utilization
+
+from conftest import seam_packing
+
+
+def _per_bin_utilization(inst, pack, j):
+    """Utilization of bin ``j`` by a scan of the whole packing: case
+    volumes added in case order, over the floor area times the top."""
+    volume = top = 0.0
+    for p in pack.placements:
+        if p.bin_index == j:
+            volume += inst.cases[p.case_index].volume
+            top = max(top, placed_box(inst.cases[p.case_index], p).top)
+    bn = inst.bins[j]
+    return volume / (bn.length * bn.width * top) if volume else None
 
 
 class TestUtilization:
@@ -31,6 +45,15 @@ class TestUtilization:
         pack = Packing((Placement(0, 0, 0, 0, 0, 1),))
         assert utilization(inst, pack, 1) is None
         assert bin_utilizations(inst, pack) == {0: pytest.approx(1 / 25)}
+
+    def test_three_bins_match_the_per_bin_formula(self):
+        inst, pack = seam_packing()
+        want = {j: _per_bin_utilization(inst, pack, j) for j in range(inst.num_bins)}
+        assert want[1] is None
+        assert repr(bin_utilizations(inst, pack)) == repr(
+            {j: u for j, u in want.items() if u is not None})
+        assert [repr(utilization(inst, pack, j)) for j in range(3)] == list(map(repr, want.values()))
+        assert all(type(u) is float for u in bin_utilizations(inst, pack).values())
 
     def test_unknown_bin_rejected(self):
         inst = Instance("bad", (CaseSpec(0, 1, 1, 1),), (BinSpec(0, 5, 5, 5),))

@@ -1,5 +1,7 @@
 import xml.etree.ElementTree as ET
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from binpack3d import svg_render
@@ -10,13 +12,12 @@ from binpack3d.geometry import (
     Instance,
     Packing,
     Placement,
-    box_array,
     placed_box,
 )
 from binpack3d.svg_render import render_svg
 from binpack3d.validate import validate
 
-from conftest import dense_overlaps, judged_packings
+from conftest import dense_overlaps, judged_packings, seam_packing
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -63,6 +64,17 @@ class TestViews:
         assert len(rects(text, "case")) == 2
         assert len(rects(text, "violation")) == 1
 
+    def test_overlap_across_bins_is_not_marked(self):
+        # cases 0 and 2 overlap in the shared frame but lie in bins 2 and 0
+        inst, pack = seam_packing()
+        text = render_svg(inst, pack, view="top")
+        assert len(rects(text, "case")) == 6
+        # the one mark is the overlap of cases 1 and 2 in bin 0, x in [2.5, 3)
+        [mark] = rects(text, "violation")
+        scale = 760.0 / 11.0
+        assert float(mark.get("x")) == pytest.approx(20.0 + 2.5 * scale, abs=1e-3)
+        assert float(mark.get("width")) == pytest.approx(0.5 * scale, abs=1e-3)
+
     @pytest.mark.parametrize("depth,marks", [(5e-7, 0), (1e-3, 1)])
     def test_violation_marks_agree_with_validate(self, depth, marks):
         inst = Instance("svg7", (CaseSpec(0, 2, 2, 2, quantity=2),),
@@ -84,7 +96,8 @@ class TestViews:
         for inst, pack in judged_packings():
             report = validate(inst, pack)
             overlaps.append(sum(v.family == "overlap" for v in report.violations))
-            boxes = box_array(placed_box(inst.cases[p.case_index], p) for p in pack.placements)
+            boxes = np.array([astuple(placed_box(inst.cases[p.case_index], p))
+                              for p in pack.placements])
             crossing += len(dense_overlaps(boxes, DEFAULT_TOL)[0]) - overlaps[-1]
         assert marks == overlaps and sum(marks) > 500 and crossing > 0
 

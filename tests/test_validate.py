@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from binpack3d.geometry import (
     Packing,
     PlacedBox,
     Placement,
-    box_array,
     placed_box,
     separating_relations,
     support_credit,
     support_deficit,
     support_pairs,
 )
+from binpack3d.metrics import bin_utilizations
 from binpack3d.model import build_model, check_assignment, packing_to_assignment
 from binpack3d.solvers import SolverConfig
 from binpack3d.svg_render import render_svg
@@ -31,6 +32,7 @@ from conftest import (
     judged_packings,
     make_instance,
     random_packing,
+    seam_packing,
     stacked_packing,
 )
 
@@ -48,6 +50,22 @@ class TestVerdicts:
         assert [v.family for v in report.violations] == ["overlap"]
         assert report.violations[0].magnitude == pytest.approx(1.0)
         assert report.violations[0].cases == (0, 1)
+
+    @pytest.mark.parametrize("support", [None, 0.8])
+    def test_three_bins_with_an_unused_middle_bin(self, support):
+        """Seams in order per case, boundary spill by its worst axis, and
+        the pair that overlaps across bins in the frame not reported."""
+        inst, pack = seam_packing()
+        report = validate(inst, pack, support=support)
+        assert [(v.family, v.cases, v.magnitude) for v in report.violations] == [
+            ("overlap", (1, 2), 0.5),
+            ("boundary", (0,), 8.0 - 7.5), ("boundary", (2,), 2.5 + 6 - 4.0),
+            ("bin_gap", (0,), 8.0 - 7.5),
+            ("bin_gap", (2,), 4.0 - 2.5), ("bin_gap", (2,), 2.5 + 6 - 8.0)]
+        assert all(type(v.magnitude) is float for v in report.violations)
+        assert report.support_coverage == ({} if support is None else dict.fromkeys(range(6), 1.0))
+        assert report.utilization == bin_utilizations(inst, pack)
+        assert set(report.utilization) == {0, 2}
 
     def test_straddling_case_reports_boundary_and_gap(self):
         inst = Instance("straddle", (CaseSpec(0, 4, 1, 1),),
@@ -244,7 +262,7 @@ def _dense_verdicts(inst, pack, support):
     want, coverage = [], {}
     for j in sorted(set(p.bin_index for p in pack.placements)):
         members = [p.case_index for p in pack.placements if p.bin_index == j]
-        arr = box_array(placed_box(inst.cases[i], pack.placements[i]) for i in members)
+        arr = np.array([astuple(placed_box(inst.cases[i], pack.placements[i])) for i in members])
         a, b, depth = dense_overlaps(arr, DEFAULT_TOL)
         want += [Violation("overlap", (members[x], members[y]), d)
                  for x, y, d in zip(a.tolist(), b.tolist(), depth.tolist())]
